@@ -16,6 +16,10 @@ val long_threshold :
 (** Sensitivity to the long-running node threshold (the paper's 10k
     instructions): node counts, reconfiguration rate, and results. *)
 
+val narrow_config : Mcd_cpu.Config.t
+(** The 2-wide core with half-size queues and ROB {!narrow_core} runs
+    on. *)
+
 val narrow_core : ?workloads:Mcd_workloads.Workload.t list -> unit -> string
 (** Does profile-based DVFS survive a different microarchitecture? Rerun
     training and production on a 2-wide core with half-size queues and

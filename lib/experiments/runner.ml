@@ -488,7 +488,7 @@ let online_policy_params = Attack_decay.params_id
    safely. Because a feedback result is mode-independent, so are its
    keys ([~modal:false], no [sim_tag]): a sampled bench pass reuses the
    on-line runs the exact pass already cached. *)
-let policy_key (p : Policy.t) (w : Workload.t) =
+let policy_key ?(config = config) (p : Policy.t) (w : Workload.t) =
   run_key
     ~modal:(not p.Policy.feedback)
     w ~config ~policy:p.Policy.name ~params:p.Policy.params
@@ -506,6 +506,18 @@ let policy_run (p : Policy.t) (w : Workload.t) =
   let controller = p.Policy.create () in
   if p.Policy.feedback then sim_run ~sampling:None ~controller w ~config
   else sim_run ~controller w ~config
+
+let offline_key ?(slowdown_pct = default_slowdown_pct) (w : Workload.t) =
+  run_key w ~config ~policy:"offline" ~params:(offline_policy_params slowdown_pct)
+
+let profile_key ?(slowdown_pct = default_slowdown_pct) (w : Workload.t)
+    ~context ~train =
+  run_key w ~config ~policy:"profile"
+    ~params:(profile_policy_params w ~context ~train ~slowdown_pct)
+
+let plan_key ?threshold_insts:threshold ?shaker_passes:shaker ?config
+    ?(slowdown_pct = default_slowdown_pct) w ~context ~train =
+  plan_key ?threshold ?shaker ?config w ~context ~train ~slowdown_pct
 
 let online_run ?params (w : Workload.t) =
   policy_run (Attack_decay.policy ?params ()) w

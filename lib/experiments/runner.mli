@@ -198,11 +198,37 @@ val policy_run :
     {!sim_mode}. *)
 
 val policy_key :
+  ?config:Mcd_cpu.Config.t ->
   Mcd_control.Policy.t -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
 (** The persistent-store key {!policy_run} caches under: the shared
     run-key layout with the policy's canonical
     {!Mcd_cache.Key.policy_fragment} identity, so two policies (or one
     policy at two parameter settings) can never collide. *)
+
+val offline_key : ?slowdown_pct:float -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
+(** The persistent-store key {!offline_run} caches under. *)
+
+val profile_key :
+  ?slowdown_pct:float ->
+  Mcd_workloads.Workload.t ->
+  context:Mcd_profiling.Context.t ->
+  train:[ `Train | `Reference ] ->
+  Mcd_cache.Key.t
+(** The persistent-store key {!profile_run} caches under. *)
+
+val plan_key :
+  ?threshold_insts:int ->
+  ?shaker_passes:int ->
+  ?config:Mcd_cpu.Config.t ->
+  ?slowdown_pct:float ->
+  Mcd_workloads.Workload.t ->
+  context:Mcd_profiling.Context.t ->
+  train:[ `Train | `Reference ] ->
+  Mcd_cache.Key.t
+(** The persistent-store key {!analyzed_plan} caches under. *)
+
+val oracle_key : Mcd_workloads.Workload.t -> Mcd_cache.Key.t
+(** The persistent-store key of the off-line oracle's analysis. *)
 
 val online_run :
   ?params:Mcd_control.Attack_decay.params -> Mcd_workloads.Workload.t ->

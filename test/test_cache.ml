@@ -149,6 +149,87 @@ let test_golden_key () =
     "percent-encoding" "mcd-dvfs-cache/1 model/2 kind=run v=a%25b%0ac%20d"
     (Key.canonical tricky)
 
+(* Every key the Runner derives, pinned on one workload: a refactor of
+   the run path that moves any of these digests strands every object
+   already in a store (and every served digest), so a moved key must
+   fail here rather than pass unnoticed. Captured from the pre-refactor
+   derivation; repin only together with a deliberate version bump. *)
+let derived_key_pins =
+  [
+    ("baseline", "09eae84c9926eff230ff94fc3ddb0fd8");
+    ("single-clock 500", "0118355a80fe7485c2456ebcf44cac87");
+    ("narrow baseline", "a10086a60ac38b419e039fa594b30691");
+    ("policy baseline", "09eae84c9926eff230ff94fc3ddb0fd8");
+    ("policy online", "801b1cd2dab4257ca0342f916728bb17");
+    ("policy online-eager", "6311e3d4ab7bc44ddc3122511f008e6d");
+    ("policy pid", "2e913c71f51db7ed02550885f94e2b08");
+    ("policy cache-aware", "1bd731ca81bf3cf40ce082b998e813c1");
+    ("policy util-prop", "94a87be88fc4f19d0567ab813e58ea25");
+    ("policy fixed-750", "8ac38c2c915a8df32a50a08b76b5fba5");
+    ("offline 7", "daf84c23fd1a5382bdddba3df7c85be4");
+    ("offline 9", "742ef6bb8d24de1e89f033b34ac68170");
+    ("profile train 7", "39725b465e6ee2ba6cd02905ca3575ff");
+    ("profile train 5", "7c699ab0c4670528a766b64e8e217a0f");
+    ("profile reference 7", "6f2067361b2ac69a3899a813f6229552");
+    ("plan default", "036e784804dd4d23ce7b3e1632e200d5");
+    ("plan threshold+shaker", "0804a00964a930b7d57c7329c8e0b0bc");
+    ("oracle", "779f8bdcbb8743056cc43e6a3f069f40");
+    ("sampled baseline", "aa13a19bd73882e73d159a09a586bfe3");
+    ("sampled online", "801b1cd2dab4257ca0342f916728bb17");
+  ]
+
+let pinned_key_workload () = Suite.by_name "gsm encode"
+
+let derived_keys () =
+  let w = pinned_key_workload () in
+  let lf = Context.lf in
+  let baseline ?config () =
+    Runner.policy_key ?config Mcd_control.Policies.baseline w
+  in
+  let exact () =
+    [
+      ("baseline", baseline ());
+      ("single-clock 500", baseline ~config:(Mcd_cpu.Config.single_clock ~mhz:500) ());
+      ("narrow baseline", baseline ~config:Mcd_experiments.Ablations.narrow_config ());
+    ]
+    @ List.map
+        (fun p -> ("policy " ^ p.Mcd_control.Policy.label, Runner.policy_key p w))
+        (Mcd_control.Policies.all ())
+    @ [
+        ("offline 7", Runner.offline_key ~slowdown_pct:7.0 w);
+        ("offline 9", Runner.offline_key ~slowdown_pct:9.0 w);
+        ("profile train 7", Runner.profile_key w ~context:lf ~train:`Train);
+        ( "profile train 5",
+          Runner.profile_key ~slowdown_pct:5.0 w ~context:lf ~train:`Train );
+        ("profile reference 7", Runner.profile_key w ~context:lf ~train:`Reference);
+        ("plan default", Runner.plan_key w ~context:lf ~train:`Train);
+        ( "plan threshold+shaker",
+          Runner.plan_key ~threshold_insts:10_000 ~shaker_passes:1 w ~context:lf
+            ~train:`Train );
+        ("oracle", Runner.oracle_key w);
+      ]
+  in
+  let sampled () =
+    [
+      ("sampled baseline", baseline ());
+      ("sampled online", Runner.policy_key (Mcd_control.Policies.online ()) w);
+    ]
+  in
+  let exact = exact () in
+  Runner.set_sim_mode (Runner.Sampled Mcd_cpu.Sampler.default_params);
+  Fun.protect
+    ~finally:(fun () -> Runner.set_sim_mode Runner.Exact)
+    (fun () -> exact @ sampled ())
+
+let test_derived_keys_pinned () =
+  let keys = derived_keys () in
+  Alcotest.(check (list string))
+    "every pinned key derived" (List.map fst derived_key_pins) (List.map fst keys);
+  List.iter2
+    (fun (label, pinned) (_, key) ->
+      Alcotest.(check string) label pinned (Key.digest key))
+    derived_key_pins keys
+
 (* --- store ------------------------------------------------------------ *)
 
 let test_store_roundtrip () =
@@ -291,6 +372,7 @@ let suite =
     qcheck prop_metrics_roundtrip;
     qcheck prop_oracle_roundtrip;
     ("golden key and digest pinned", `Quick, test_golden_key);
+    ("runner-derived keys pinned", `Quick, test_derived_keys_pinned);
     ("store round-trip", `Quick, test_store_roundtrip);
     ( "corrupt object recomputes and heals",
       `Quick,

@@ -287,6 +287,27 @@ let test_request_normalization_digests () =
     (digest prof = digest prof_slow);
   Alcotest.(check bool) "policies distinguished" false
     (digest base = digest prof);
+  (* every wire policy digests to exactly the key the one-shot run of
+     the same method caches under, so a served read finds what a CLI
+     run wrote (and vice versa) *)
+  let module Runner = Mcd_experiments.Runner in
+  let w = Mcd_workloads.Suite.by_name "adpcm decode" in
+  let f = Mcd_profiling.Context.of_name "F" in
+  List.iter
+    (fun (policy, one_shot) ->
+      Alcotest.(check string)
+        (Protocol.policy_name policy ^ " digest = one-shot key")
+        (Mcd_cache.Key.digest one_shot)
+        (digest
+           (Protocol.request ~policy ~context:"F" ~slowdown_pct:5.0
+              "adpcm decode")))
+    [
+      (Protocol.Baseline, Runner.policy_key Mcd_control.Policies.baseline w);
+      (Protocol.Online, Runner.policy_key (Mcd_control.Policies.online ()) w);
+      (Protocol.Offline, Runner.offline_key ~slowdown_pct:5.0 w);
+      ( Protocol.Profile,
+        Runner.profile_key ~slowdown_pct:5.0 w ~context:f ~train:`Train );
+    ];
   match Mcd_serve.Server.request_digest (Protocol.request "no such bench") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown workload digested"
