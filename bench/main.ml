@@ -34,53 +34,24 @@ let quick_contexts () =
   [ Mcd_profiling.Context.lfcp; Mcd_profiling.Context.lf;
     Mcd_profiling.Context.f ]
 
-(* Shared row sets are cached at the harness level (keyed by --quick),
-   not only in Runner: with --jobs > 1 the simulations happen on
-   short-lived worker domains whose memo tables die with them, so
-   without this cache fig5/fig6 would re-simulate everything fig4 just
-   computed. The harness itself is single-domain, so plain laziness per
-   key is safe. Tables register themselves so the warm-cache pass can
-   reset every in-memory layer and measure the disk store alone. *)
-let harness_resets : (unit -> unit) list ref = ref []
+(* Experiments that share runs (fig4-7, fig8/9/12, fig10/11) recompute
+   their row sets from Runner's process-wide memo, which outlives the
+   worker domains that filled it; clearing that memo is all the warm
+   pass needs to measure the disk store alone. *)
+let headline_rows ~quick =
+  let workloads = if quick then quick_suite () else Suite.all in
+  Headline.rows ~workloads ()
 
-let harness_table () =
-  let tbl = Hashtbl.create 2 in
-  harness_resets := (fun () -> Hashtbl.reset tbl) :: !harness_resets;
-  tbl
+let context_rows ~quick =
+  if quick then
+    Context_sense.rows
+      ~workloads:(List.map Suite.by_name [ "mpeg2 decode"; "adpcm decode" ])
+      ~contexts:(quick_contexts ()) ()
+  else Context_sense.rows ()
 
-let reset_harness_caches () = List.iter (fun f -> f ()) !harness_resets
-
-let cached tbl key f =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      let v = f () in
-      Hashtbl.add tbl key v;
-      v
-
-let headline_rows =
-  let tbl = harness_table () in
-  fun ~quick ->
-    cached tbl quick @@ fun () ->
-    let workloads = if quick then quick_suite () else Suite.all in
-    Headline.rows ~workloads ()
-
-let context_rows =
-  let tbl = harness_table () in
-  fun ~quick ->
-    cached tbl quick @@ fun () ->
-    if quick then
-      Context_sense.rows
-        ~workloads:(List.map Suite.by_name [ "mpeg2 decode"; "adpcm decode" ])
-        ~contexts:(quick_contexts ()) ()
-    else Context_sense.rows ()
-
-let table4_rows =
-  let tbl = harness_table () in
-  fun ~quick ->
-    cached tbl quick @@ fun () ->
-    let workloads = if quick then quick_suite () else Suite.all in
-    Context_sense.rows ~workloads ~contexts:[ Mcd_profiling.Context.lfcp ] ()
+let table4_rows ~quick =
+  let workloads = if quick then quick_suite () else Suite.all in
+  Context_sense.rows ~workloads ~contexts:[ Mcd_profiling.Context.lfcp ] ()
 
 let sweep_args ~quick =
   if quick then
@@ -90,14 +61,11 @@ let sweep_args ~quick =
   else (None, None, None)
 
 (* fig10 and fig11 plot the same three curves *)
-let sweep_curves =
-  let tbl = Hashtbl.create 2 in
-  fun ~quick ->
-    cached tbl quick @@ fun () ->
-    let workloads, deltas, guards = sweep_args ~quick in
-    ( Sweep.offline_curve ?workloads ?deltas (),
-      Sweep.online_curve ?workloads ?guards (),
-      Sweep.profile_curve ?workloads ?deltas () )
+let sweep_curves ~quick =
+  let workloads, deltas, guards = sweep_args ~quick in
+  ( Sweep.offline_curve ?workloads ?deltas (),
+    Sweep.online_curve ?workloads ?guards (),
+    Sweep.profile_curve ?workloads ?deltas () )
 
 type experiment = { id : string; descr : string; run : quick:bool -> string }
 
@@ -419,7 +387,7 @@ let write_json ~path ~quick ~jobs ~timings ~total_s ~warm ~sample ~exact =
 (* --trace-dir: after the experiments, re-run the quick/full suite's
    profile policy with the observability sink attached and export one
    trace bundle per workload. Separate passes on purpose — the traced
-   runs bypass Runner's memo tables, so the timed experiments above
+   runs bypass Runner's memo, so the timed experiments above
    stay untraced and their wall clock honest. *)
 let sanitize_name name =
   String.map
@@ -439,7 +407,17 @@ let trace_suite ~quick ~dir =
       let name = w.Mcd_workloads.Workload.name in
       let sink = Mcd_obs.Sink.create ~domains:Mcd_domains.Domain.count () in
       let t0 = now_s () in
-      let _run = Runner.observed_run ~sink w in
+      let _run =
+        Runner.(
+          run ~sink
+            (Profile
+               {
+                 context = Mcd_profiling.Context.lf;
+                 train = `Train;
+                 slowdown_pct = default_slowdown_pct;
+               })
+            w)
+      in
       let dt = now_s () -. t0 in
       let sub = Filename.concat dir (sanitize_name name) in
       ignore (Mcd_obs.Export.write_dir ~domain_names ~dir:sub sink : string list);
@@ -515,7 +493,6 @@ let run_experiments only quick list_only micro jobs json_path trace_dir
         let results, total = run_pass ~tag:(Some "exact") in
         let rows = headline_rows ~quick in
         Runner.clear_caches ();
-        reset_harness_caches ();
         Runner.set_sim_mode
           (Runner.Sampled Mcd_cpu.Sampler.default_params);
         Some (List.map (fun (id, dt, _) -> (id, dt)) results, total, rows)
@@ -532,10 +509,9 @@ let run_experiments only quick list_only micro jobs json_path trace_dir
       | None -> None
       | Some store ->
           Printf.printf
-            "=== warm pass (memo tables cleared; serving from %s)\n%!"
+            "=== warm pass (memo cleared; serving from %s)\n%!"
             (Mcd_cache.Store.dir store);
           Runner.clear_caches ();
-          reset_harness_caches ();
           let warm_results, warm_total = run_pass ~tag:(Some "warm") in
           let identical =
             List.for_all2

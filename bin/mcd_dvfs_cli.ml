@@ -128,36 +128,22 @@ let suite_cmd =
 
 (* --- run ------------------------------------------------------------- *)
 
-(* The paper's four policies plus the global-DVS bar keep their
-   historical spellings; any other name is looked up in the policy-zoo
-   registry, so `run mcf --policy pid` works for every registered
-   contender without a new enum case per policy. *)
-let run_policy_arg =
+(* A method label (see Runner.method_of_label), validated while the
+   command line is parsed; the command re-parses it against --context.
+   [extra] labels (run's "global" bar) pass through unparsed. *)
+let method_label_arg ?(extra = []) () =
   let parse s =
-    match s with
-    | "baseline" -> Ok `Baseline
-    | "offline" -> Ok `Offline
-    | "online" -> Ok `Online
-    | "profile" -> Ok `Profile
-    | "global" -> Ok `Global
-    | s -> (
-        match Policies.by_name s with
-        | Some p -> Ok (`Zoo p)
-        | None ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown policy %S (registry: %s)" s
-                    (String.concat ", " (Policies.names ())))))
+    if List.mem s extra then Ok s
+    else
+      Result.map_error (fun e -> `Msg e)
+        (Result.map (fun _ -> s) (Runner.method_of_label s))
   in
-  let print fmt = function
-    | `Baseline -> Format.pp_print_string fmt "baseline"
-    | `Offline -> Format.pp_print_string fmt "offline"
-    | `Online -> Format.pp_print_string fmt "online"
-    | `Profile -> Format.pp_print_string fmt "profile"
-    | `Global -> Format.pp_print_string fmt "global"
-    | `Zoo p -> Format.pp_print_string fmt (Mcd_control.Policy.id p)
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Format.pp_print_string)
+
+let method_of_label ~context label =
+  match Runner.method_of_label ~context label with
+  | Ok m -> m
+  | Error e -> invalid_arg e
 
 let print_breakdown (m : Metrics.run) =
   let domains = Mcd_domains.Domain.all in
@@ -214,20 +200,15 @@ let run_cmd =
     | Ok w ->
     let baseline = Runner.baseline w in
     let metrics =
-      match policy with
-      | `Baseline -> baseline
-      | `Offline -> Runner.offline_run w
-      | `Online -> Runner.online_run w
-      | `Profile -> (Runner.profile_run w ~context ~train:`Train).Runner.run
-      | `Global ->
-          let off = Runner.offline_run w in
-          let g, mhz =
-            Runner.global_dvs_run w
-              ~target_runtime_ps:off.Metrics.runtime_ps
-          in
-          Printf.printf "global frequency: %d MHz\n" mhz;
-          g
-      | `Zoo p -> Runner.policy_run p w
+      if policy = "global" then begin
+        let off = Runner.offline_run w in
+        let g, mhz =
+          Runner.global_dvs_run w ~target_runtime_ps:off.Metrics.runtime_ps
+        in
+        Printf.printf "global frequency: %d MHz\n" mhz;
+        g
+      end
+      else Runner.run (method_of_label ~context policy) w
     in
     Format.printf "%a@." Metrics.pp metrics;
     if breakdown then print_breakdown metrics;
@@ -252,7 +233,7 @@ let run_cmd =
              finding carrying one, see $(b,campaign)).")
   in
   let policy =
-    Arg.(value & opt run_policy_arg `Profile
+    Arg.(value & opt (method_label_arg ~extra:[ "global" ] ()) "profile"
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:
                "baseline | offline | online | profile | global, or any \
@@ -657,7 +638,7 @@ let trace_cmd =
       Mcd_obs.Sink.create ~stride_cycles:stride
         ~domains:Mcd_domains.Domain.count ()
     in
-    let metrics = Runner.observed_run ~policy ~context ~sink w in
+    let metrics = Runner.run ~sink (method_of_label ~context policy) w in
     let domain_names =
       Array.of_list (List.map Mcd_domains.Domain.name Mcd_domains.Domain.all)
     in
@@ -671,19 +652,12 @@ let trace_cmd =
     0
   in
   let w = Arg.(required & pos 0 (some workload_arg) None & info [] ~docv:"BENCHMARK") in
-  let policy_enum =
-    Arg.enum
-      [
-        ("baseline", `Baseline);
-        ("offline", `Offline);
-        ("online", `Online);
-        ("profile", `Profile);
-      ]
-  in
   let policy =
-    Arg.(value & opt policy_enum `Profile
+    Arg.(value & opt (method_label_arg ()) "profile"
          & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"baseline | offline | online | profile")
+             ~doc:
+               "baseline | offline | online | profile, or any policy-zoo \
+                registry label (see $(b,tournament))")
   in
   let context =
     Arg.(value & opt context_arg Context.lf
@@ -953,14 +927,10 @@ let serve_cmd =
       $ no_journal $ journal_path $ deadline_ms $ retry_after_cap_ms
       $ cache_dir_arg)
 
+(* The wire policies by their wire labels; the server parses the label
+   with Runner.method_of_label. *)
 let wire_policy_enum =
-  Arg.enum
-    [
-      ("baseline", Sproto.Baseline);
-      ("offline", Sproto.Offline);
-      ("online", Sproto.Online);
-      ("profile", Sproto.Profile);
-    ]
+  Arg.enum (List.map (fun p -> (Sproto.policy_name p, p)) Sproto.policies)
 
 let priority_enum =
   Arg.enum

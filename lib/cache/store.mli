@@ -1,7 +1,7 @@
 (** Two-level content-addressed result store.
 
     The first level is whatever in-memory memo table the caller already
-    keeps (e.g. {!Mcd_experiments.Runner}'s domain-local tables); this
+    keeps (e.g. {!Mcd_experiments.Runner}'s process-wide memo); this
     module is the second, persistent level: objects live under
     [dir/objects/ab/cdef…] (first two hex digits of the key digest as a
     shard), each object embedding its full canonical key, payload byte

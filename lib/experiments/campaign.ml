@@ -108,10 +108,19 @@ let evaluate ~params spec =
           :: !findings)
     (Policies.adversaries ());
   if params.observe then begin
-    (* Observed profile run at the default slowdown (observed_run's
+    (* Observed profile run at the default slowdown (plan_for's
        operating point): interval series feed the plan-floor check. *)
     let sink = Sink.create ~domains:Domain.count () in
-    let orun = Runner.observed_run ~policy:`Profile ~context:Context.lf ~sink w in
+    let orun =
+      Runner.run ~sink
+        (Runner.Profile
+           {
+             context = Context.lf;
+             train = `Train;
+             slowdown_pct = Runner.default_slowdown_pct;
+           })
+        w
+    in
     add (Assert.run_sane ~label:"profile-observed" orun);
     let plan = Runner.plan_for w ~context:Context.lf ~train:`Train in
     let floor = Assert.plan_floor_mhz plan in
@@ -120,7 +129,7 @@ let evaluate ~params spec =
     (* Observed attack/decay run: its combined-target decision events
        feed the frequency-grid check. *)
     let sink2 = Sink.create ~domains:Domain.count () in
-    let _ = Runner.observed_run ~policy:`Online ~sink:sink2 w in
+    let _ = Runner.run ~sink:sink2 (Runner.Policy (Policies.online ())) w in
     add (Assert.decisions_on_grid ~label:"online-observed" sink2)
   end;
   List.rev !findings

@@ -8,6 +8,7 @@ module Editor = Mcd_core.Editor
 module Analyze = Mcd_core.Analyze
 module Attack_decay = Mcd_control.Attack_decay
 module Policy = Mcd_control.Policy
+module Policies = Mcd_control.Policies
 module Freq = Mcd_domains.Freq
 module Ckey = Mcd_cache.Key
 module Cstore = Mcd_cache.Store
@@ -52,62 +53,59 @@ let get_sim_mode () = !sim_mode
 let sampling () = match !sim_mode with Exact -> None | Sampled p -> Some p
 
 (* Sampled results are different objects from exact ones: production
-   run keys grow a ("sim", ...) part and every in-memory memo key a
-   matching suffix, so the two modes never serve each other's numbers.
-   In [Exact] mode both are empty — exact keys are byte-identical to
-   what they were before sampling existed. Plans and oracle analyses
-   are always computed exactly, so their keys never carry the part. *)
+   run keys grow a ("sim", ...) part, so the two modes never serve each
+   other's numbers, in the store or in the memo. In [Exact] mode the
+   part is absent — exact keys are byte-identical to what they were
+   before sampling existed. Plans and oracle analyses are always
+   computed exactly, so their keys never carry it. *)
 let sim_parts () =
   match !sim_mode with
   | Exact -> []
   | Sampled p -> [ ("sim", "sampled:" ^ Sampler.params_id p) ]
 
-let sim_tag () =
-  match !sim_mode with
-  | Exact -> ""
-  | Sampled p -> "/sampled:" ^ Sampler.params_id p
+(* --- the memo ------------------------------------------------------------ *)
 
-(* Memo tables are domain-local: experiment sweeps fan out across OCaml
-   domains (see [map_workloads]) and [Hashtbl] is not safe under
-   concurrent mutation. Each domain lazily builds its own table, so a
-   worker keeps full memoization within its share of a sweep while the
-   main domain retains its cache across experiments, exactly as the old
-   global tables did in sequential runs. Results are deterministic per
-   key, so duplicated computation across domains cannot change output.
+(* One process-wide memo, keyed by the canonical line of the key the
+   persistent store files the same result under: that line already
+   names the workload, configuration, method with all its parameters
+   and (for modal runs) the simulation mode, so no second, hand-built
+   memo identity can drift from it. Worker domains of [par_map] share
+   it, so a result outlives the domain that computed it. The mutex
+   guards only the find and the add, never a computation: two domains
+   that miss on one key both compute it (results are deterministic per
+   key) and the second add wins harmlessly.
 
-   Below the memo tables sits the optional persistent content-addressed
-   store ({!Mcd_cache.Store.default}): memo tables die with their domain
-   (and with the process), the disk store survives both, so a warm rerun
-   skips simulation entirely. *)
-let dls_table () = Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+   Below the memo sits the optional persistent content-addressed store
+   ({!Mcd_cache.Store.default}): the memo dies with the process, the
+   store survives it, so a warm rerun skips simulation entirely. *)
+type entry =
+  | Memo_run of Metrics.run
+  | Memo_profiled of Metrics.run * Editor.counters
+  | Memo_plan of Plan.t
+  | Memo_oracle of Mcd_core.Oracle.analysis
 
-let memo_key : (string, Metrics.run) Hashtbl.t Domain.DLS.key = dls_table ()
-let plan_memo_key : (string, Plan.t) Hashtbl.t Domain.DLS.key = dls_table ()
+let memo : (string, entry) Hashtbl.t = Hashtbl.create 64
+let memo_lock = Mutex.create ()
+let clear_caches () = Mutex.protect memo_lock (fun () -> Hashtbl.reset memo)
 
-let oracle_memo_key : (string, Mcd_core.Oracle.analysis) Hashtbl.t Domain.DLS.key =
-  dls_table ()
-
-(* full profiled runs (with counters) at the default slowdown *)
-let profiled_memo_key : (string, profiled_run) Hashtbl.t Domain.DLS.key =
-  dls_table ()
-
-let memo () = Domain.DLS.get memo_key
-let plan_memo () = Domain.DLS.get plan_memo_key
-let oracle_memo () = Domain.DLS.get oracle_memo_key
-let profiled_memo () = Domain.DLS.get profiled_memo_key
-
-let clear_caches () =
-  Hashtbl.reset (memo ());
-  Hashtbl.reset (plan_memo ());
-  Hashtbl.reset (oracle_memo ());
-  Hashtbl.reset (profiled_memo ())
-
-let memoize tbl key f =
-  match Hashtbl.find_opt tbl key with
+(* Memo, then store (when one is configured; a cache problem of any
+   kind degrades to plain recomputation inside [Cstore.cached]), then
+   [f]. [unwrap] projects the entry kind a key of this kind holds. *)
+let cached ~key ~wrap ~unwrap ~encode ~decode f =
+  let line = Ckey.canonical key in
+  match
+    Option.bind
+      (Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo line))
+      unwrap
+  with
   | Some v -> v
   | None ->
-      let v = f () in
-      Hashtbl.add tbl key v;
+      let v =
+        match Cstore.default () with
+        | None -> f ()
+        | Some store -> Cstore.cached store ~key ~encode ~decode f
+      in
+      Mutex.protect memo_lock (fun () -> Hashtbl.replace memo line (wrap v));
       v
 
 (* Concurrency of the experiment fan-out. Mutable configuration rather
@@ -151,7 +149,7 @@ let training_tree ?threshold (w : Workload.t) ~context ~train =
   Mcd_profiling.Call_tree.build w.Workload.program ~input ~context ?threshold
     ~max_insts:analysis_profile_insts ()
 
-(* --- persistent cache keys and codecs ---------------------------------- *)
+(* --- persistent cache keys ----------------------------------------------- *)
 
 let base_parts (w : Workload.t) ~config ~input =
   Ckey.program_fragment w.Workload.program ~input
@@ -162,12 +160,10 @@ let base_parts (w : Workload.t) ~config ~input =
 (* A production run is identified by everything the simulator sees: the
    program (at the reference input), the input itself, the processor
    configuration, the frequency grid, the measurement window, and the
-   policy driving reconfiguration (with all its parameters). The policy
-   identity is rendered by [Ckey.policy_fragment] so the experiment
-   service derives byte-identical request keys. Runs that are exact in
-   every mode (see [online_run]) pass [~modal:false] to drop the
-   ("sim", ...) part: their one result serves both modes. *)
-let run_key ?(modal = true) (w : Workload.t) ~config ~policy ~params =
+   method driving reconfiguration (with all its parameters). Runs that
+   are exact in every mode (see [exact_only]) pass [~modal:false] to
+   drop the ("sim", ...) part: their one result serves both modes. *)
+let run_key ~modal (w : Workload.t) ~config ~policy ~params =
   Ckey.make ~kind:"run"
     ~parts:
       (base_parts w ~config ~input:w.Workload.reference
@@ -176,7 +172,7 @@ let run_key ?(modal = true) (w : Workload.t) ~config ~policy ~params =
           ("window", string_of_int w.Workload.ref_window);
         ]
       @ Ckey.policy_fragment ~name:policy ~params
-      @ (if modal then sim_parts () else []))
+      @ if modal then sim_parts () else [])
 
 (* Analysis knobs (long-running threshold, shaker pass budget) key the
    plan only when overridden, so the default-knob key stays byte-
@@ -186,9 +182,9 @@ let run_key ?(modal = true) (w : Workload.t) ~config ~policy ~params =
    so a narrow-core plan separates for free. *)
 let default_shaker_passes = 24
 
-let plan_key ?(threshold = Mcd_profiling.Call_tree.default_threshold)
-    ?(shaker = default_shaker_passes) ?(config = config) (w : Workload.t)
-    ~context ~train ~slowdown_pct =
+let plan_key ?(threshold_insts = Mcd_profiling.Call_tree.default_threshold)
+    ?(shaker_passes = default_shaker_passes) ?(config = config)
+    ?(slowdown_pct = default_slowdown_pct) (w : Workload.t) ~context ~train =
   let input, _ = analysis_input w ~train in
   Ckey.make ~kind:"plan"
     ~parts:
@@ -199,15 +195,15 @@ let plan_key ?(threshold = Mcd_profiling.Call_tree.default_threshold)
           ("profile_insts", string_of_int analysis_profile_insts);
           ("trace_insts", string_of_int (analysis_trace_insts w ~train));
         ]
-      @ (if threshold <> Mcd_profiling.Call_tree.default_threshold then
-           [ ("threshold", string_of_int threshold) ]
+      @ (if threshold_insts <> Mcd_profiling.Call_tree.default_threshold then
+           [ ("threshold", string_of_int threshold_insts) ]
          else [])
       @
-      if shaker <> default_shaker_passes then
-        [ ("shaker", string_of_int shaker) ]
+      if shaker_passes <> default_shaker_passes then
+        [ ("shaker", string_of_int shaker_passes) ]
       else [])
 
-let oracle_key (w : Workload.t) =
+let oracle_key ?(config = config) (w : Workload.t) =
   Ckey.make ~kind:"oracle"
     ~parts:
       (base_parts w ~config ~input:w.Workload.reference
@@ -218,72 +214,19 @@ let oracle_key (w : Workload.t) =
             string_of_int (w.Workload.ref_offset + w.Workload.ref_window) );
         ])
 
-(* Read-through the persistent store when one is configured; a cache
-   problem of any kind degrades to plain recomputation inside
-   [Cstore.cached]. [key] is a thunk so key construction costs nothing
-   when caching is off. *)
-let disk_cached ~key ~encode ~decode f =
-  match Cstore.default () with
-  | None -> f ()
-  | Some store -> Cstore.cached store ~key:(key ()) ~encode ~decode f
-
-let run_cached ~key f =
-  disk_cached ~key ~encode:Metrics.encode ~decode:Metrics.decode f
+(* --- the analyses ---------------------------------------------------------- *)
 
 (* Plans are stored in the Plan_io text format. Decoding rebuilds the
    training tree (cheap: a profiler walk, no timing simulation) and
    refuses — i.e. reports corruption, triggering recompute — if the
    stored plan does not round-trip cleanly against it. *)
-let plan_codec ?threshold (w : Workload.t) ~context ~train =
-  let decode payload =
-    let tree = training_tree ?threshold w ~context ~train in
-    match Mcd_core.Plan_io.of_string_result ~path:"<cache>" ~tree payload with
-    | Result.Ok { Mcd_core.Plan_io.plan; warnings = [] } -> Result.Ok plan
-    | Result.Ok { Mcd_core.Plan_io.warnings; _ } ->
-        Result.Error
-          (String.concat "; " (List.map Mcd_robust.Error.to_string warnings))
-    | Result.Error errors ->
-        Result.Error
-          (String.concat "; " (List.map Mcd_robust.Error.to_string errors))
-  in
-  (Mcd_core.Plan_io.to_string, decode)
-
-(* --- policy runs ------------------------------------------------------- *)
-
-(* A short stable identity for a processor configuration, for
-   in-memory memo keys only (disk keys carry the full config fragment
-   through [base_parts]). *)
-let config_tag cfg =
-  Digest.to_hex
-    (Digest.string
-       (String.concat ";"
-          (List.map (fun (k, v) -> k ^ "=" ^ v) (Ckey.config_fragment cfg))))
-
-let sim_run ?controller ?sampling:(sampl = sampling ()) (w : Workload.t)
-    ~config =
-  Pipeline.run ?controller ?sampling:sampl ~config
-    ~warmup_insts:w.Workload.ref_offset ~program:w.Workload.program
-    ~input:w.Workload.reference ~max_insts:w.Workload.ref_window ()
-
-let config_baseline ?(config = config) (w : Workload.t) =
-  memoize (memo ())
-    (Printf.sprintf "%s/baseline/%s%s" w.Workload.name (config_tag config)
-       (sim_tag ()))
-  @@ fun () ->
-  run_cached ~key:(fun () -> run_key w ~config ~policy:"baseline" ~params:[])
-  @@ fun () -> sim_run w ~config
-
-let baseline (w : Workload.t) = config_baseline w
-
-let single_clock (w : Workload.t) ~mhz =
-  memoize (memo ())
-    (Printf.sprintf "%s/single/%d%s" w.Workload.name mhz (sim_tag ()))
-  @@ fun () ->
-  let config = Config.single_clock ~mhz in
-  run_cached ~key:(fun () -> run_key w ~config ~policy:"baseline" ~params:[])
-  @@ fun () -> sim_run w ~config
-
-let input_tag = function `Train -> "train" | `Reference -> "ref"
+let decode_plan ~threshold (w : Workload.t) ~context ~train payload =
+  let tree = training_tree ~threshold w ~context ~train in
+  match Mcd_core.Plan_io.of_string_result ~path:"<cache>" ~tree payload with
+  | Result.Ok { Mcd_core.Plan_io.plan; warnings = [] } -> Result.Ok plan
+  | Result.Ok { Mcd_core.Plan_io.warnings = errors; _ } | Result.Error errors ->
+      Result.Error
+        (String.concat "; " (List.map Mcd_robust.Error.to_string errors))
 
 (* The plan segment of an experiment: profiling walk + traced training
    run + shaker, cached independently of the production runs that
@@ -291,51 +234,28 @@ let input_tag = function `Train -> "train" | `Reference -> "ref"
    side (or a knob that only perturbs the analysis side) recomputes one
    segment instead of the whole pipeline. Plans are always computed
    exactly — sampling never touches analysis quality. *)
-let analyzed_plan ?threshold_insts ?shaker_passes ?(config = config)
+let analyzed_plan ?(threshold_insts = Mcd_profiling.Call_tree.default_threshold)
+    ?(shaker_passes = default_shaker_passes) ?(config = config)
     ?(slowdown_pct = default_slowdown_pct) (w : Workload.t) ~context ~train =
-  let threshold =
-    Option.value threshold_insts
-      ~default:Mcd_profiling.Call_tree.default_threshold
-  in
-  let shaker = Option.value shaker_passes ~default:default_shaker_passes in
-  memoize (plan_memo ())
-    (Printf.sprintf "%s/%s/%s/th%d/sh%d/%s/%s" w.Workload.name
-       context.Context.name (input_tag train) threshold shaker
-       (Ckey.float_param slowdown_pct)
-       (config_tag config))
-  @@ fun () ->
-  let encode, decode = plan_codec ~threshold w ~context ~train in
-  disk_cached
-    ~key:(fun () ->
-      plan_key ~threshold ~shaker ~config w ~context ~train ~slowdown_pct)
-    ~encode ~decode
+  cached
+    ~key:
+      (plan_key ~threshold_insts ~shaker_passes ~config ~slowdown_pct w
+         ~context ~train)
+    ~wrap:(fun p -> Memo_plan p)
+    ~unwrap:(function Memo_plan p -> Some p | _ -> None)
+    ~encode:Mcd_core.Plan_io.to_string
+    ~decode:(decode_plan ~threshold:threshold_insts w ~context ~train)
   @@ fun () ->
   let input, _ = analysis_input w ~train in
-  let trace_insts = analysis_trace_insts w ~train in
   let plan, _stats =
     Analyze.analyze ~program:w.Workload.program ~train:input ~context
-      ~slowdown_pct ~threshold_insts:threshold ~shaker_passes:shaker
-      ~trace_insts ~config ()
+      ~slowdown_pct ~threshold_insts ~shaker_passes
+      ~trace_insts:(analysis_trace_insts w ~train)
+      ~config ()
   in
   plan
 
 let plan_for (w : Workload.t) ~context ~train = analyzed_plan w ~context ~train
-
-(* The production segment under an explicit plan: keyed by the plan's
-   content digest (plus workload, config, window and simulation mode
-   through [run_key]), so every ablation point sharing a plan shares
-   one cached run. *)
-let plan_run ?(config = config) (w : Workload.t) ~plan =
-  let digest = Digest.to_hex (Digest.string (Mcd_core.Plan_io.to_string plan)) in
-  memoize (memo ())
-    (Printf.sprintf "%s/plan/%s/%s%s" w.Workload.name digest
-       (config_tag config) (sim_tag ()))
-  @@ fun () ->
-  run_cached
-    ~key:(fun () -> run_key w ~config ~policy:"plan" ~params:[ digest ])
-  @@ fun () ->
-  let edited = Editor.edit plan in
-  sim_run ~controller:edited.Editor.controller w ~config
 
 (* The result path for shipped plans: rebuild the profiling tree from
    exactly the derivation Analyze/plan_for use ({!training_tree}), then
@@ -347,10 +267,10 @@ let load_plan ?(train = `Train) (w : Workload.t) ~context ~path =
   let tree = training_tree w ~context ~train in
   Mcd_core.Plan_io.load_result ~path ~tree
 
-let oracle_analysis (w : Workload.t) =
-  memoize (oracle_memo ()) (w.Workload.name ^ "/oracle") @@ fun () ->
-  disk_cached
-    ~key:(fun () -> oracle_key w)
+let oracle_analysis ~config (w : Workload.t) =
+  cached ~key:(oracle_key ~config w)
+    ~wrap:(fun a -> Memo_oracle a)
+    ~unwrap:(function Memo_oracle a -> Some a | _ -> None)
     ~encode:Mcd_core.Oracle.encode_analysis
     ~decode:Mcd_core.Oracle.decode_analysis
   @@ fun () ->
@@ -359,45 +279,115 @@ let oracle_analysis (w : Workload.t) =
     ~trace_insts:(w.Workload.ref_offset + w.Workload.ref_window)
     ~config ()
 
-let offline_policy_params slowdown_pct =
-  [
-    Ckey.float_param slowdown_pct;
-    string_of_int Mcd_core.Oracle.default_interval_insts;
-  ]
+(* --- methods --------------------------------------------------------------- *)
 
-let offline_run ?(slowdown_pct = default_slowdown_pct) (w : Workload.t) =
-  (* memoized at every slowdown: the memo key carries the canonical
-     [Ckey.float_param] rendering rather than gating on float equality
-     with the default, so sweep points are cached in-process too *)
-  memoize (memo ())
-    (Printf.sprintf "%s/offline/%s%s" w.Workload.name
-       (Ckey.float_param slowdown_pct)
-       (sim_tag ()))
-  @@ fun () ->
-  run_cached
-    ~key:(fun () ->
-      run_key w ~config ~policy:"offline"
-        ~params:(offline_policy_params slowdown_pct))
-  @@ fun () ->
-  let schedule =
-    Mcd_core.Oracle.schedule_of (oracle_analysis w) ~slowdown_pct
+type method_ =
+  | Policy of Policy.t
+  | Offline of { slowdown_pct : float }
+  | Profile of {
+      context : Context.t;
+      train : [ `Train | `Reference ];
+      slowdown_pct : float;
+    }
+  | Plan of Plan.t
+
+let input_tag = function `Train -> "train" | `Reference -> "ref"
+
+(* The (re-thresholded) plan a profile method edits the program with. *)
+let profile_plan ~config (w : Workload.t) ~context ~train ~slowdown_pct =
+  let base = analyzed_plan ~config w ~context ~train in
+  if slowdown_pct = default_slowdown_pct then base
+  else Plan.with_slowdown base ~slowdown_pct
+
+let plan_digest plan =
+  Digest.to_hex (Digest.string (Mcd_core.Plan_io.to_string plan))
+
+(* Every method is simulated under the global [sim_mode] except
+   feedback policies, which always run exactly: a cycle-driven feedback
+   loop (attack/decay, PID, cache-aware, util-prop all read queue
+   occupancy or miss counters every interval) cannot observe skipped
+   instances — under sampling it reacts to a sparse, unrepresentative
+   subsequence of intervals and its frequency trajectory diverges from
+   the exact run by tens of points. Feed-forward methods (baseline,
+   fixed, offline, profile, explicit plans) react to the marker stream,
+   which sampling preserves, so they sample safely. Because a feedback
+   result is mode-independent, so is its key: a sampled bench pass
+   reuses the on-line runs the exact pass already cached. *)
+let exact_only = function
+  | Policy p -> p.Policy.feedback
+  | Offline _ | Profile _ | Plan _ -> false
+
+(* The key names the method as a (name, params) policy fragment: a
+   registry policy by its own identity, the built-in methods by the
+   spellings their cached objects have always carried (an explicit plan
+   by its content digest, so ablation points sharing a plan share one
+   cached run). *)
+let key ?(config = config) m (w : Workload.t) =
+  let policy, params =
+    match m with
+    | Policy p -> (p.Policy.name, p.Policy.params)
+    | Offline { slowdown_pct } ->
+        ( "offline",
+          [
+            Ckey.float_param slowdown_pct;
+            string_of_int Mcd_core.Oracle.default_interval_insts;
+          ] )
+    | Profile { context; train; slowdown_pct } ->
+        ( "profile",
+          [
+            context.Context.name;
+            input_tag train;
+            Ckey.float_param slowdown_pct;
+            string_of_int analysis_profile_insts;
+            string_of_int (analysis_trace_insts w ~train);
+          ] )
+    | Plan plan -> ("plan", [ plan_digest plan ])
   in
-  sim_run ~controller:(Mcd_core.Oracle.policy schedule) w ~config
+  run_key ~modal:(not (exact_only m)) w ~config ~policy ~params
 
-let profile_run_uncached (w : Workload.t) ~plan =
-  let edited = Editor.edit plan in
-  let run = sim_run ~controller:edited.Editor.controller w ~config in
-  { run; plan = Lazy.from_val plan; counters = edited.Editor.counters }
+(* A fresh single-use controller for one run of [m], with the editor
+   counters it fills (zero unless the method edits the program per a
+   plan). *)
+let controller ?sink ~config m (w : Workload.t) =
+  let edited plan =
+    let e = Editor.edit plan in
+    (e.Editor.controller, e.Editor.counters)
+  in
+  let unedited c = (c, { Editor.reconfig_execs = 0; instr_execs = 0 }) in
+  match m with
+  | Policy p -> unedited (p.Policy.create ?sink ())
+  | Offline { slowdown_pct } ->
+      unedited
+        (Mcd_core.Oracle.policy
+           (Mcd_core.Oracle.schedule_of (oracle_analysis ~config w)
+              ~slowdown_pct))
+  | Profile { context; train; slowdown_pct } ->
+      edited (profile_plan ~config w ~context ~train ~slowdown_pct)
+  | Plan plan -> edited plan
 
-(* A profiled run's cached payload is the run plus the editor counters;
-   the plan itself is recovered through [plan_for]'s own cache, so it is
-   not duplicated in every profiled-run object. *)
-let encode_profiled pr =
+(* A traced run is always exact: the sink must see every interval, and
+   a sampled run fast-forwards most of them. *)
+let simulate ?sink ~config m (w : Workload.t) =
+  let controller, counters = controller ?sink ~config m w in
+  let sampling =
+    if Option.is_some sink || exact_only m then None else sampling ()
+  in
+  let run =
+    Pipeline.run ~controller ?sink ?sampling ~config
+      ~warmup_insts:w.Workload.ref_offset ~program:w.Workload.program
+      ~input:w.Workload.reference ~max_insts:w.Workload.ref_window ()
+  in
+  (run, counters)
+
+(* A profiled run's payload is the run plus the editor counters; the
+   plan itself is recovered through [plan_for]'s own cache, so it is
+   not duplicated in every profiled-run object. Every other method
+   stores the bare {!Metrics.encode} bytes. *)
+let encode_profiled (run, (c : Editor.counters)) =
   Printf.sprintf "profiled 1\nreconfig_execs %d\ninstr_execs %d\n%s"
-    pr.counters.Editor.reconfig_execs pr.counters.Editor.instr_execs
-    (Metrics.encode pr.run)
+    c.Editor.reconfig_execs c.Editor.instr_execs (Metrics.encode run)
 
-let decode_profiled ~plan_of payload =
+let decode_profiled payload =
   let ( let* ) = Result.bind in
   let int_field name line =
     match String.split_on_char ' ' line with
@@ -407,148 +397,31 @@ let decode_profiled ~plan_of payload =
         | None -> Result.Error (Printf.sprintf "bad %s value %S" name v))
     | _ -> Result.Error (Printf.sprintf "expected %S line, got %S" name line)
   in
-  match String.index_opt payload '\n' with
-  | None -> Result.Error "truncated profiled payload"
-  | Some e1 -> (
-      if String.sub payload 0 e1 <> "profiled 1" then
-        Result.Error "bad profiled header"
-      else
-        match String.index_from_opt payload (e1 + 1) '\n' with
-        | None -> Result.Error "truncated profiled payload"
-        | Some e2 -> (
-            match String.index_from_opt payload (e2 + 1) '\n' with
-            | None -> Result.Error "truncated profiled payload"
-            | Some e3 ->
-                let* reconfig_execs =
-                  int_field "reconfig_execs"
-                    (String.sub payload (e1 + 1) (e2 - e1 - 1))
-                in
-                let* instr_execs =
-                  int_field "instr_execs"
-                    (String.sub payload (e2 + 1) (e3 - e2 - 1))
-                in
-                let* run =
-                  Metrics.decode
-                    (String.sub payload (e3 + 1)
-                       (String.length payload - e3 - 1))
-                in
-                Result.Ok
-                  {
-                    run;
-                    (* lazy on purpose: a warm disk hit must not pay
-                       [plan_for]'s profiler walk for a plan most
-                       callers never read *)
-                    plan = lazy (plan_of ());
-                    counters = { Editor.reconfig_execs; instr_execs };
-                  }))
+  match String.split_on_char '\n' payload with
+  | "profiled 1" :: reconfig :: instr :: (_ :: _ as rest) ->
+      let* reconfig_execs = int_field "reconfig_execs" reconfig in
+      let* instr_execs = int_field "instr_execs" instr in
+      let* run = Metrics.decode (String.concat "\n" rest) in
+      Result.Ok (run, { Editor.reconfig_execs; instr_execs })
+  | "profiled 1" :: _ -> Result.Error "truncated profiled payload"
+  | _ -> Result.Error "bad profiled header"
 
-let profile_policy_params (w : Workload.t) ~context ~train ~slowdown_pct =
-  [
-    context.Context.name;
-    input_tag train;
-    Ckey.float_param slowdown_pct;
-    string_of_int analysis_profile_insts;
-    string_of_int (analysis_trace_insts w ~train);
-  ]
+let profiled ~config m (w : Workload.t) =
+  cached ~key:(key ~config m w)
+    ~wrap:(fun (r, c) -> Memo_profiled (r, c))
+    ~unwrap:(function Memo_profiled (r, c) -> Some (r, c) | _ -> None)
+    ~encode:encode_profiled ~decode:decode_profiled
+    (fun () -> simulate ~config m w)
 
-let profile_run ?(slowdown_pct = default_slowdown_pct) (w : Workload.t)
-    ~context ~train =
-  let plan_of () =
-    let base = plan_for w ~context ~train in
-    if slowdown_pct = default_slowdown_pct then base
-    else Plan.with_slowdown base ~slowdown_pct
+(* A traced run is never memoised (the sink is a side channel — a cached
+   Metrics.run would leave it empty), and its end-of-run aggregates are
+   mirrored into the sink's registry as gauges so an exported
+   metrics.jsonl is self-contained. *)
+let traced ~sink ~config m (w : Workload.t) =
+  let run, _ = simulate ~sink ~config m w in
+  let g name v =
+    Mcd_obs.Metrics.set (Mcd_obs.Metrics.gauge (Mcd_obs.Sink.metrics sink) name) v
   in
-  memoize (profiled_memo ())
-    (Printf.sprintf "%s/%s/%s/%s%s/run" w.Workload.name context.Context.name
-       (input_tag train)
-       (Ckey.float_param slowdown_pct)
-       (sim_tag ()))
-  @@ fun () ->
-  disk_cached
-    ~key:(fun () ->
-      run_key w ~config ~policy:"profile"
-        ~params:(profile_policy_params w ~context ~train ~slowdown_pct))
-    ~encode:encode_profiled
-    ~decode:(decode_profiled ~plan_of)
-  @@ fun () -> profile_run_uncached w ~plan:(plan_of ())
-
-let online_policy_params = Attack_decay.params_id
-
-(* --- the generic policy path ------------------------------------------- *)
-
-(* Every {!Mcd_control.Policy.t} runs through one entry point. Feedback
-   policies are always simulated exactly, whatever the global
-   [sim_mode]: a cycle-driven feedback loop (attack/decay, PID,
-   cache-aware, util-prop all read queue occupancy or miss counters
-   every interval) cannot observe skipped instances — under sampling it
-   reacts to a sparse, unrepresentative subsequence of intervals and
-   its frequency trajectory diverges from the exact run by tens of
-   points. Feed-forward policies (baseline, fixed, offline, profile)
-   react to the marker stream, which sampling preserves, so they sample
-   safely. Because a feedback result is mode-independent, so are its
-   keys ([~modal:false], no [sim_tag]): a sampled bench pass reuses the
-   on-line runs the exact pass already cached. *)
-let policy_key ?(config = config) (p : Policy.t) (w : Workload.t) =
-  run_key
-    ~modal:(not p.Policy.feedback)
-    w ~config ~policy:p.Policy.name ~params:p.Policy.params
-
-let policy_run (p : Policy.t) (w : Workload.t) =
-  (* memoized on the disk key's canonical line: it already names the
-     policy with all parameters, the workload, the config and (for
-     modal runs) the simulation mode, so two parameterisations of one
-     policy can never serve each other's numbers in-process either *)
-  let key = policy_key p w in
-  memoize (memo ()) ("policy/" ^ Ckey.canonical key)
-  @@ fun () ->
-  run_cached ~key:(fun () -> key)
-  @@ fun () ->
-  let controller = p.Policy.create () in
-  if p.Policy.feedback then sim_run ~sampling:None ~controller w ~config
-  else sim_run ~controller w ~config
-
-let offline_key ?(slowdown_pct = default_slowdown_pct) (w : Workload.t) =
-  run_key w ~config ~policy:"offline" ~params:(offline_policy_params slowdown_pct)
-
-let profile_key ?(slowdown_pct = default_slowdown_pct) (w : Workload.t)
-    ~context ~train =
-  run_key w ~config ~policy:"profile"
-    ~params:(profile_policy_params w ~context ~train ~slowdown_pct)
-
-let plan_key ?threshold_insts:threshold ?shaker_passes:shaker ?config
-    ?(slowdown_pct = default_slowdown_pct) w ~context ~train =
-  plan_key ?threshold ?shaker ?config w ~context ~train ~slowdown_pct
-
-let online_run ?params (w : Workload.t) =
-  policy_run (Attack_decay.policy ?params ()) w
-
-(* Traced variant of the per-policy runs: never memoized (the sink is a
-   side channel — a cached Metrics.run would leave it empty), and the
-   end-of-run aggregates are mirrored into the sink's registry as
-   gauges so an exported metrics.jsonl is self-contained. *)
-let observed_run ?(policy = `Profile) ?(context = Context.lf) ~sink
-    (w : Workload.t) =
-  let controller =
-    match policy with
-    | `Baseline -> None
-    | `Online -> Some (Attack_decay.controller ~sink ())
-    | `Offline ->
-        let schedule =
-          Mcd_core.Oracle.schedule_of (oracle_analysis w)
-            ~slowdown_pct:default_slowdown_pct
-        in
-        Some (Mcd_core.Oracle.policy schedule)
-    | `Profile ->
-        let plan = plan_for w ~context ~train:`Train in
-        Some (Editor.edit plan).Editor.controller
-  in
-  let run =
-    Pipeline.run ?controller ~sink ~config
-      ~warmup_insts:w.Workload.ref_offset ~program:w.Workload.program
-      ~input:w.Workload.reference ~max_insts:w.Workload.ref_window ()
-  in
-  let m = Mcd_obs.Sink.metrics sink in
-  let g name v = Mcd_obs.Metrics.set (Mcd_obs.Metrics.gauge m name) v in
   g "run.runtime_ps" (float_of_int run.Metrics.runtime_ps);
   g "run.energy_pj" run.Metrics.energy_pj;
   g "run.instructions" (float_of_int run.Metrics.instructions);
@@ -558,32 +431,52 @@ let observed_run ?(policy = `Profile) ?(context = Context.lf) ~sink
   g "run.reconfigurations" (float_of_int run.Metrics.reconfigurations);
   run
 
-(* --- served requests --------------------------------------------------- *)
+let run ?(config = config) ?sink m w =
+  match (sink, m) with
+  | Some sink, _ -> traced ~sink ~config m w
+  | None, Profile _ -> fst (profiled ~config m w)
+  | None, (Policy _ | Offline _ | Plan _) ->
+      cached ~key:(key ~config m w)
+        ~wrap:(fun r -> Memo_run r)
+        ~unwrap:(function Memo_run r -> Some r | _ -> None)
+        ~encode:Metrics.encode ~decode:Metrics.decode
+        (fun () -> fst (simulate ~config m w))
 
-(* The experiment service coalesces concurrent identical requests by
-   content-addressed digest, so a request's key must be exactly the key
-   the underlying run is cached under — and parameters a policy does not
-   consume must be normalized away (a baseline run at slowdown 5% and
-   one at 9% are the same computation and must coalesce). *)
-let request_policy (w : Workload.t) ~policy ~context ~slowdown_pct =
-  match policy with
-  | `Baseline -> ("baseline", [])
-  | `Online -> ("online", online_policy_params Attack_decay.default_params)
-  | `Offline -> ("offline", offline_policy_params slowdown_pct)
-  | `Profile ->
-      ( "profile",
-        profile_policy_params w ~context ~train:`Train ~slowdown_pct )
+let method_of_label ?(context = Context.lf)
+    ?(slowdown_pct = default_slowdown_pct) = function
+  | "offline" -> Ok (Offline { slowdown_pct })
+  | "profile" -> Ok (Profile { context; train = `Train; slowdown_pct })
+  | label -> (
+      match Policies.by_name label with
+      | Some p -> Ok (Policy p)
+      | None ->
+          Error
+            (Printf.sprintf "unknown policy %S (offline, profile, or a registry \
+                             label: %s)"
+               label
+               (String.concat ", " (Policies.names ()))))
 
-let request_key (w : Workload.t) ~policy ~context ~slowdown_pct =
-  let name, params = request_policy w ~policy ~context ~slowdown_pct in
-  run_key ~modal:(policy <> `Online) w ~config ~policy:name ~params
+(* --- the named entry points ------------------------------------------------ *)
 
-let run_request (w : Workload.t) ~policy ~context ~slowdown_pct =
-  match policy with
-  | `Baseline -> baseline w
-  | `Online -> online_run w
-  | `Offline -> offline_run ~slowdown_pct w
-  | `Profile -> (profile_run ~slowdown_pct w ~context ~train:`Train).run
+let config_baseline ?config w = run ?config (Policy Policies.baseline) w
+let baseline w = config_baseline w
+let single_clock w ~mhz = config_baseline ~config:(Config.single_clock ~mhz) w
+let plan_run ?config w ~plan = run ?config (Plan plan) w
+let offline_run ?(slowdown_pct = default_slowdown_pct) w =
+  run (Offline { slowdown_pct }) w
+let policy_run p w = run (Policy p) w
+let policy_key ?config p w = key ?config (Policy p) w
+let online_run ?params w = policy_run (Attack_decay.policy ?params ()) w
+
+(* The plan is rebuilt per call, never stored in the shared memo: a lazy
+   value two domains force at once raises [Lazy.Undefined]. Forcing it
+   goes through [plan_for]'s cache, so a warm disk hit that never reads
+   the plan never pays its profiler walk. *)
+let profile_run ?(slowdown_pct = default_slowdown_pct) w ~context ~train =
+  let run, counters =
+    profiled ~config (Profile { context; train; slowdown_pct }) w
+  in
+  { run; plan = lazy (profile_plan ~config w ~context ~train ~slowdown_pct); counters }
 
 (* The paper's "global" bar: a single-clock processor scaled so that its
    total runtime matches the off-line algorithm's. A first-order 1/f

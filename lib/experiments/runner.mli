@@ -1,11 +1,19 @@
-(** Memoized execution of (benchmark x policy) simulations.
+(** Memoized execution of (benchmark x method) simulations.
 
-    Every figure compares policies against the MCD baseline on the
+    Every figure compares methods against the MCD baseline on the
     reference input; the same runs feed several figures, so results are
-    cached per benchmark. All analyses profile on the training input
-    except the off-line oracle, which — exactly as in the paper — is the
-    same pipeline given the production run as its "prior identical
-    run". *)
+    cached. All analyses profile on the training input except the
+    off-line oracle, which — exactly as in the paper — is the same
+    pipeline given the production run as its "prior identical run".
+
+    There is one run path: a {!method_} names what drives
+    reconfiguration, {!key} is the one identity its result is cached
+    under, and {!run} simulates it. The result is memoised in one
+    process-wide table keyed by {!Mcd_cache.Key.canonical} of that key,
+    shared by every domain, and read through the persistent store
+    ({!Mcd_cache.Store.default}) when one is configured. The named entry
+    points ({!baseline}, {!offline_run}, {!policy_run}, ...) are
+    one-line calls into {!run}. *)
 
 type comparison = {
   degradation_pct : float;
@@ -27,9 +35,8 @@ val get_jobs : unit -> int
 
 val par_map : ('a -> 'b) -> 'a list -> 'b list
 (** [Mcd_util.Par.map] at the configured jobs count, preserving input
-    order. Memo tables are domain-local ([Domain.DLS]), so worker
-    domains memoize within their share of a sweep and the caches stay
-    race-free. *)
+    order. Worker domains share the process-wide memo, so a result a
+    worker computes outlives it. *)
 
 val map_workloads :
   (Mcd_workloads.Workload.t -> 'a) -> Mcd_workloads.Workload.t list -> 'a list
@@ -41,16 +48,15 @@ val default_slowdown_pct : float
 
 (** {2 Simulation mode}
 
-    Production runs (baseline, single-clock, offline, online, profile,
-    {!plan_run}) execute either exactly or under
+    Production runs execute either exactly or under
     {!Mcd_cpu.Sampler} phase sampling. The mode is process-wide
     configuration like {!set_jobs}: the bench/CLI drivers set it once.
     Sampled results are cached under distinct keys (a ["sim"] part on
-    the disk key, a suffix on the memo keys), so the two modes never
-    serve each other's numbers — and in [Exact] mode every key is
-    byte-identical to the pre-sampling layout. Plan and oracle analyses
-    are always computed exactly. So is the on-line policy
-    ({!online_run}): its cycle-driven feedback controller cannot
+    the key, which the memo shares), so the two modes never serve each
+    other's numbers — and in [Exact] mode every key is byte-identical
+    to the pre-sampling layout. Plan and oracle analyses are always
+    computed exactly. So are feedback policies such as the on-line
+    attack/decay controller: a cycle-driven feedback loop cannot
     observe skipped instances and diverges under sampling, so it runs
     exactly in every mode and keeps mode-independent keys — a sampled
     pass reuses on-line results the exact pass already cached. *)
@@ -97,29 +103,7 @@ val training_tree :
     {!Mcd_profiling.Call_tree.default_threshold}) is the long-running
     cutoff, overridden by threshold-ablation plans. *)
 
-val baseline : Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
-(** MCD, all domains at full speed, reference input. Cached. *)
-
-val config_baseline :
-  ?config:Mcd_cpu.Config.t ->
-  Mcd_workloads.Workload.t ->
-  Mcd_power.Metrics.run
-(** {!baseline} at an explicit processor configuration (default: the
-    Table-1 core, where it shares {!baseline}'s cache objects). The
-    narrow-core ablation's baseline segment. *)
-
-val single_clock : Mcd_workloads.Workload.t -> mhz:int -> Mcd_power.Metrics.run
-(** Globally synchronous run at [mhz]. Cached per frequency. *)
-
-val plan_for :
-  Mcd_workloads.Workload.t ->
-  context:Mcd_profiling.Context.t ->
-  train:[ `Train | `Reference ] ->
-  Mcd_core.Plan.t
-(** Off-line analysis at {!default_slowdown_pct}; cached per
-    (benchmark, context, input). [`Reference] training is the off-line
-    oracle. Equal to {!analyzed_plan} with every knob at its
-    default. *)
+(** {2 Analyses} *)
 
 val analyzed_plan :
   ?threshold_insts:int ->
@@ -131,22 +115,35 @@ val analyzed_plan :
   train:[ `Train | `Reference ] ->
   Mcd_core.Plan.t
 (** The analysis {e segment} of an experiment — profiling walk, traced
-    training run, shaker, thresholding — disk-cached on its own key:
+    training run, shaker, thresholding — cached on {!plan_key}:
     workload x config x analysis knobs, with knob parts present only
     when overridden so the all-defaults key is byte-identical to
     {!plan_for}'s. An ablation that perturbs one knob recomputes this
-    segment only; production runs are keyed separately
-    ({!plan_run}). Always computed exactly, independent of the
-    simulation mode. *)
+    segment only; production runs are keyed separately ({!key}).
+    Always computed exactly, independent of the simulation mode. *)
 
-val plan_run :
+val plan_key :
+  ?threshold_insts:int ->
+  ?shaker_passes:int ->
   ?config:Mcd_cpu.Config.t ->
+  ?slowdown_pct:float ->
   Mcd_workloads.Workload.t ->
-  plan:Mcd_core.Plan.t ->
-  Mcd_power.Metrics.run
-(** The production {e segment}: edit per [plan] and run the reference
-    input at [config]. Keyed by the plan's content digest, so ablation
-    points whose knob did not change the plan share one cached run. *)
+  context:Mcd_profiling.Context.t ->
+  train:[ `Train | `Reference ] ->
+  Mcd_cache.Key.t
+(** The key {!analyzed_plan} caches under. *)
+
+val plan_for :
+  Mcd_workloads.Workload.t ->
+  context:Mcd_profiling.Context.t ->
+  train:[ `Train | `Reference ] ->
+  Mcd_core.Plan.t
+(** {!analyzed_plan} with every knob at its default ({!default_slowdown_pct}).
+    [`Reference] training is the off-line oracle. *)
+
+val oracle_key : ?config:Mcd_cpu.Config.t -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
+(** The key the interval-based off-line oracle's analysis
+    ({!Mcd_core.Oracle}) of the production run is cached under. *)
 
 val load_plan :
   ?train:[ `Train | `Reference ] ->
@@ -161,21 +158,94 @@ val load_plan :
     with {!plan_for}, a plan saved from [plan_for w ~context ~train]
     always round-trips warning-free. *)
 
+(** {2 Methods} *)
+
+type method_ =
+  | Policy of Mcd_control.Policy.t
+      (** a registry policy, the MCD baseline ({!Mcd_control.Policies.baseline})
+          and on-line attack/decay included *)
+  | Offline of { slowdown_pct : float }
+      (** the interval-based off-line oracle: analyse the production run
+          with perfect knowledge, play the per-interval schedule back *)
+  | Profile of {
+      context : Mcd_profiling.Context.t;
+      train : [ `Train | `Reference ];
+      slowdown_pct : float;
+    }
+      (** edit per the (re-thresholded) plan {!plan_for} derives *)
+  | Plan of Mcd_core.Plan.t  (** edit per an explicit plan *)
+
+val method_of_label :
+  ?context:Mcd_profiling.Context.t ->
+  ?slowdown_pct:float ->
+  string ->
+  (method_, string) result
+(** The one method-label parser: [offline], [profile] (trained on
+    [`Train] in [context], default L+F) or any
+    {!Mcd_control.Policies} registry label ([baseline], [online], ...).
+    [slowdown_pct] (default {!default_slowdown_pct}) applies to
+    [offline] and [profile]; the other methods ignore both
+    parameters, so equivalent requests derive one {!key}. *)
+
+val key :
+  ?config:Mcd_cpu.Config.t -> method_ -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
+(** The one identity of a production run: workload, configuration
+    (default: the Table-1 core), measurement window, the method with
+    all its parameters (a registry policy's canonical
+    {!Mcd_cache.Key.policy_fragment}, an explicit plan's content digest)
+    and, unless the method is a feedback policy, the simulation mode.
+    The store files the result under it, the memo keys on its canonical
+    line, and the experiment service digests it for coalescing. *)
+
+val run :
+  ?config:Mcd_cpu.Config.t ->
+  ?sink:Mcd_obs.Sink.t ->
+  method_ ->
+  Mcd_workloads.Workload.t ->
+  Mcd_power.Metrics.run
+(** Simulate the reference input under the method with a fresh
+    controller. Without a [sink] the result is memoised and cached
+    under {!key}. With a [sink] the run is traced and never cached (a
+    memoised result would leave the sink empty): it runs exactly, and
+    interval samples, reconfiguration/decision/sync events,
+    frequency-residency histograms and the end-of-run aggregates (as
+    [run.*] gauges) land in the sink. A traced run returns the same
+    {!Mcd_power.Metrics.encode} bytes as the exact memoised one. *)
+
+(** {2 Named entry points} *)
+
+val baseline : Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
+(** MCD, all domains at full speed, reference input. *)
+
+val config_baseline :
+  ?config:Mcd_cpu.Config.t -> Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
+(** {!baseline} at an explicit processor configuration — the
+    narrow-core ablation's baseline segment. *)
+
+val single_clock : Mcd_workloads.Workload.t -> mhz:int -> Mcd_power.Metrics.run
+(** Globally synchronous run at [mhz]. *)
+
+val plan_run :
+  ?config:Mcd_cpu.Config.t ->
+  Mcd_workloads.Workload.t ->
+  plan:Mcd_core.Plan.t ->
+  Mcd_power.Metrics.run
+(** The production {e segment} under an explicit plan. Keyed by the
+    plan's content digest, so ablation points whose knob did not change
+    the plan share one cached run. *)
+
 val offline_run :
   ?slowdown_pct:float -> Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
-(** The interval-based off-line oracle ({!Mcd_core.Oracle}): analyse the
-    production run with perfect knowledge, play the per-interval schedule
-    back. Cached at every slowdown — the key carries the canonical
-    ({!Mcd_cache.Key.float_param}) rendering of [slowdown_pct], so sweep
-    points memoize instead of re-simulating. *)
+(** The off-line oracle at [slowdown_pct] (default
+    {!default_slowdown_pct}). *)
 
 type profiled_run = {
   run : Mcd_power.Metrics.run;
   plan : Mcd_core.Plan.t Lazy.t;
-      (** Forcing the plan on a warm disk hit decodes the cached plan —
-          a decode that rebuilds the training call tree (one full
-          profiler walk). Consumers that only need [run] never pay
-          it. *)
+      (** Rebuilt per call. Forcing it on a warm disk hit decodes the
+          cached plan — a decode that rebuilds the training call tree
+          (one full profiler walk). Consumers that only need [run]
+          never pay it. *)
   counters : Mcd_core.Editor.counters;
 }
 
@@ -185,100 +255,21 @@ val profile_run :
   context:Mcd_profiling.Context.t ->
   train:[ `Train | `Reference ] ->
   profiled_run
-(** Edit per the (possibly re-thresholded) plan and run the reference
-    input. Cached at every slowdown, like {!offline_run}. *)
+(** {!run} of the profile method, with its plan and editor counters. *)
 
 val policy_run :
   Mcd_control.Policy.t -> Mcd_workloads.Workload.t -> Mcd_power.Metrics.run
-(** The generic policy entry point: build a fresh controller with the
-    policy's [create], run the reference input, cache under
-    {!policy_key}. Feedback policies are always simulated exactly
-    (their cycle-driven loops diverge under phase sampling) and keyed
-    mode-independently; feed-forward policies follow the global
-    {!sim_mode}. *)
+(** {!run} of a registry policy. *)
 
 val policy_key :
   ?config:Mcd_cpu.Config.t ->
   Mcd_control.Policy.t -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
-(** The persistent-store key {!policy_run} caches under: the shared
-    run-key layout with the policy's canonical
-    {!Mcd_cache.Key.policy_fragment} identity, so two policies (or one
-    policy at two parameter settings) can never collide. *)
-
-val offline_key : ?slowdown_pct:float -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
-(** The persistent-store key {!offline_run} caches under. *)
-
-val profile_key :
-  ?slowdown_pct:float ->
-  Mcd_workloads.Workload.t ->
-  context:Mcd_profiling.Context.t ->
-  train:[ `Train | `Reference ] ->
-  Mcd_cache.Key.t
-(** The persistent-store key {!profile_run} caches under. *)
-
-val plan_key :
-  ?threshold_insts:int ->
-  ?shaker_passes:int ->
-  ?config:Mcd_cpu.Config.t ->
-  ?slowdown_pct:float ->
-  Mcd_workloads.Workload.t ->
-  context:Mcd_profiling.Context.t ->
-  train:[ `Train | `Reference ] ->
-  Mcd_cache.Key.t
-(** The persistent-store key {!analyzed_plan} caches under. *)
-
-val oracle_key : Mcd_workloads.Workload.t -> Mcd_cache.Key.t
-(** The persistent-store key of the off-line oracle's analysis. *)
+(** {!key} of a registry policy. *)
 
 val online_run :
   ?params:Mcd_control.Attack_decay.params -> Mcd_workloads.Workload.t ->
   Mcd_power.Metrics.run
-(** {!policy_run} of {!Mcd_control.Attack_decay.policy} — the
-    attack/decay run on the reference input. *)
-
-val observed_run :
-  ?policy:[ `Baseline | `Online | `Offline | `Profile ] ->
-  ?context:Mcd_profiling.Context.t ->
-  sink:Mcd_obs.Sink.t ->
-  Mcd_workloads.Workload.t ->
-  Mcd_power.Metrics.run
-(** Run the reference input under the chosen policy (default [`Profile]
-    in [context], default LF) with the observability [sink] attached:
-    interval samples, reconfiguration/decision/sync events and
-    frequency-residency histograms land in the sink, and the run's
-    end-of-run aggregates are mirrored into its registry as [run.*]
-    gauges. Never cached — a memoized result would leave the sink
-    empty. The plan/oracle analyses behind [`Profile] and [`Offline]
-    still come from the shared caches. *)
-
-(** {2 Served requests}
-
-    The experiment service ({!Mcd_serve}) expresses work as
-    [(workload, policy, context, slowdown)] requests. *)
-
-val request_key :
-  Mcd_workloads.Workload.t ->
-  policy:[ `Baseline | `Offline | `Online | `Profile ] ->
-  context:Mcd_profiling.Context.t ->
-  slowdown_pct:float ->
-  Mcd_cache.Key.t
-(** The content-addressed identity of a served request — {e exactly}
-    the persistent-store key the underlying run is cached under, so
-    serving a request warm reads the same object a one-shot CLI run
-    wrote. Parameters a policy does not consume are normalized away
-    (baseline/online ignore context and slowdown, offline ignores
-    context), so equivalent requests always coalesce. *)
-
-val run_request :
-  Mcd_workloads.Workload.t ->
-  policy:[ `Baseline | `Offline | `Online | `Profile ] ->
-  context:Mcd_profiling.Context.t ->
-  slowdown_pct:float ->
-  Mcd_power.Metrics.run
-(** Dispatch to the matching cached entry point ({!baseline},
-    {!offline_run}, {!online_run}, {!profile_run} at [`Train]); the
-    result is byte-identical (under {!Mcd_power.Metrics.encode}) to the
-    corresponding one-shot call. *)
+(** {!policy_run} of {!Mcd_control.Attack_decay.policy}. *)
 
 val global_dvs_run :
   Mcd_workloads.Workload.t -> target_runtime_ps:int -> Mcd_power.Metrics.run * int
@@ -289,7 +280,7 @@ val global_dvs_run :
     frequency. *)
 
 val clear_caches : unit -> unit
-(** Reset the calling domain's in-memory memo tables. The persistent
-    store (if {!Mcd_cache.Store.default} is configured) is deliberately
-    untouched: clearing memos then re-running is exactly the warm-cache
-    path. *)
+(** Empty the process-wide memo, every domain's entries included. The
+    persistent store (if {!Mcd_cache.Store.default} is configured) is
+    deliberately untouched: clearing the memo then re-running is
+    exactly the warm-cache path. *)

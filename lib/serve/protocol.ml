@@ -69,12 +69,8 @@ let policy_name = function
   | Online -> "online"
   | Profile -> "profile"
 
-let policy_of_name = function
-  | "baseline" -> Some Baseline
-  | "offline" -> Some Offline
-  | "online" -> Some Online
-  | "profile" -> Some Profile
-  | _ -> None
+let policies = [ Baseline; Offline; Online; Profile ]
+let policy_of_name s = List.find_opt (fun p -> policy_name p = s) policies
 
 type request = {
   workload : string;

@@ -53,7 +53,11 @@ val priority_level : priority -> int
 
 type policy = Baseline | Offline | Online | Profile
 
+val policies : policy list
+
 val policy_name : policy -> string
+(** The wire label: a {!Mcd_experiments.Runner.method_of_label} label. *)
+
 val policy_of_name : string -> policy option
 
 type request = {

@@ -2,12 +2,12 @@
     with in-flight request coalescing and admission control.
 
     Workers are OCaml 5 domains (the same substrate as
-    {!Mcd_util.Par}), long-lived so {!Mcd_experiments.Runner}'s
-    domain-local memo tables amortize across requests — the whole point
-    of serving simulations from a daemon instead of one-shot processes.
+    {!Mcd_util.Par}), sharing {!Mcd_experiments.Runner}'s process-wide
+    memo so results amortize across requests — the whole point of
+    serving simulations from a daemon instead of one-shot processes.
 
     {b Coalescing.} Every request carries a content-addressed digest
-    (see {!Mcd_experiments.Runner.request_key}); a submit whose digest
+    (see {!Mcd_experiments.Runner.key}); a submit whose digest
     matches a job already in the table — queued, running, or finished —
     attaches to that job instead of enqueueing a duplicate. Concurrent
     identical requests ride one computation; late identical requests

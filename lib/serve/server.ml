@@ -44,12 +44,8 @@ let default_config ~socket =
 
 (* --- request resolution ------------------------------------------------ *)
 
-let policy_of_wire = function
-  | Protocol.Baseline -> `Baseline
-  | Protocol.Offline -> `Offline
-  | Protocol.Online -> `Online
-  | Protocol.Profile -> `Profile
-
+(* A wire policy is a method label: parsed by the one label parser, so
+   parameters a method does not consume are normalized away there. *)
 let resolve (r : Protocol.request) =
   match Mcd_workloads.Suite.find_opt r.workload with
   | None ->
@@ -68,21 +64,19 @@ let resolve (r : Protocol.request) =
       | context ->
           if not (Float.is_finite r.slowdown_pct) || r.slowdown_pct < 0.0 then
             Result.Error "slowdown must be a non-negative finite percentage"
-          else Ok (w, policy_of_wire r.policy, context))
+          else
+            Result.map
+              (fun m -> (w, m))
+              (Runner.method_of_label ~context ~slowdown_pct:r.slowdown_pct
+                 (Protocol.policy_name r.policy)))
 
-let request_digest (r : Protocol.request) =
-  Result.map
-    (fun (w, policy, context) ->
-      Mcd_cache.Key.digest
-        (Runner.request_key w ~policy ~context ~slowdown_pct:r.slowdown_pct))
-    (resolve r)
+let request_digest r =
+  Result.map (fun (w, m) -> Mcd_cache.Key.digest (Runner.key m w)) (resolve r)
 
-let compute (r : Protocol.request) =
+let compute r =
   match resolve r with
   | Result.Error msg -> invalid_arg ("Server.compute: " ^ msg)
-  | Ok (w, policy, context) ->
-      Mcd_power.Metrics.encode
-        (Runner.run_request w ~policy ~context ~slowdown_pct:r.slowdown_pct)
+  | Ok (w, m) -> Mcd_power.Metrics.encode (Runner.run m w)
 
 (* --- socket setup ------------------------------------------------------ *)
 

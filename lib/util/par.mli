@@ -16,9 +16,9 @@
     the caller, carrying the backtrace captured at the original raise
     site inside the worker domain.
 
-    Callers are responsible for [f] being domain-safe: no writes to
-    shared mutable state. Per-domain memo tables (see
-    {!Mcd_experiments.Runner}) are the standard recipe. *)
+    Callers are responsible for [f] being domain-safe: no unguarded
+    writes to shared mutable state ({!Mcd_experiments.Runner}'s memo
+    holds a mutex for each find and add). *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — a sensible [--jobs] default. *)

@@ -186,6 +186,9 @@ let derived_keys () =
   let baseline ?config () =
     Runner.policy_key ?config Mcd_control.Policies.baseline w
   in
+  let profile train slowdown_pct =
+    Runner.key (Profile { context = lf; train; slowdown_pct }) w
+  in
   let exact () =
     [
       ("baseline", baseline ());
@@ -196,12 +199,11 @@ let derived_keys () =
         (fun p -> ("policy " ^ p.Mcd_control.Policy.label, Runner.policy_key p w))
         (Mcd_control.Policies.all ())
     @ [
-        ("offline 7", Runner.offline_key ~slowdown_pct:7.0 w);
-        ("offline 9", Runner.offline_key ~slowdown_pct:9.0 w);
-        ("profile train 7", Runner.profile_key w ~context:lf ~train:`Train);
-        ( "profile train 5",
-          Runner.profile_key ~slowdown_pct:5.0 w ~context:lf ~train:`Train );
-        ("profile reference 7", Runner.profile_key w ~context:lf ~train:`Reference);
+        ("offline 7", Runner.key (Offline { slowdown_pct = 7.0 }) w);
+        ("offline 9", Runner.key (Offline { slowdown_pct = 9.0 }) w);
+        ("profile train 7", profile `Train 7.0);
+        ("profile train 5", profile `Train 5.0);
+        ("profile reference 7", profile `Reference 7.0);
         ("plan default", Runner.plan_key w ~context:lf ~train:`Train);
         ( "plan threshold+shaker",
           Runner.plan_key ~threshold_insts:10_000 ~shaker_passes:1 w ~context:lf

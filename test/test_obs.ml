@@ -354,11 +354,18 @@ let test_traced_profile_run () =
      trace reconstructs the run: every non-noop reconfiguration write in
      the event stream chains before -> after, the count agrees with the
      run's own reconfiguration counter, and samples landed. *)
-  let sink = Sink.create ~domains:Domain.count () in
-  let run =
-    Mcd_experiments.Runner.observed_run ~policy:`Profile ~sink
-      Mcd_workloads.Mediabench.adpcm_decode
+  let module Runner = Mcd_experiments.Runner in
+  let w = Mcd_workloads.Mediabench.adpcm_decode in
+  let profile =
+    Runner.Profile
+      {
+        context = Mcd_profiling.Context.lf;
+        train = `Train;
+        slowdown_pct = Runner.default_slowdown_pct;
+      }
   in
+  let sink = Sink.create ~domains:Domain.count () in
+  let run = Runner.run ~sink profile w in
   let m = Sink.metrics sink in
   let counter name = Metrics.value (Metrics.counter m name) in
   Alcotest.(check int) "reconfig counter matches the run"
@@ -391,7 +398,23 @@ let test_traced_profile_run () =
         after)
       full writes
   in
-  ()
+  (* tracing only observes: every method's traced run returns the bytes
+     of its memoised exact run *)
+  List.iter
+    (fun (label, m) ->
+      let traced =
+        Runner.run ~sink:(Sink.create ~domains:Domain.count ()) m w
+      in
+      Alcotest.(check string)
+        (label ^ ": traced run = memoised run")
+        (Mcd_power.Metrics.encode (Runner.run m w))
+        (Mcd_power.Metrics.encode traced))
+    [
+      ("baseline", Runner.Policy Mcd_control.Policies.baseline);
+      ("offline", Runner.Offline { slowdown_pct = Runner.default_slowdown_pct });
+      ("online", Runner.Policy (Mcd_control.Policies.online ()));
+      ("profile", profile);
+    ]
 
 let suite =
   [

@@ -304,9 +304,9 @@ let test_request_normalization_digests () =
     [
       (Protocol.Baseline, Runner.policy_key Mcd_control.Policies.baseline w);
       (Protocol.Online, Runner.policy_key (Mcd_control.Policies.online ()) w);
-      (Protocol.Offline, Runner.offline_key ~slowdown_pct:5.0 w);
+      (Protocol.Offline, Runner.key (Offline { slowdown_pct = 5.0 }) w);
       ( Protocol.Profile,
-        Runner.profile_key ~slowdown_pct:5.0 w ~context:f ~train:`Train );
+        Runner.key (Profile { context = f; train = `Train; slowdown_pct = 5.0 }) w );
     ];
   match Mcd_serve.Server.request_digest (Protocol.request "no such bench") with
   | Error _ -> ()

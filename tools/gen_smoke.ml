@@ -126,7 +126,11 @@ let () =
 
   (* --- observed-run assertions: plan floor and decision grid ---------- *)
   let sink = Sink.create ~domains:Domain.count () in
-  let orun = Runner.observed_run ~policy:`Profile ~context:Context.lf ~sink w in
+  let orun =
+    Runner.run ~sink
+      Runner.(Profile { context = Context.lf; train = `Train; slowdown_pct = default_slowdown_pct })
+      w
+  in
   no_violations "profile-observed"
     (Gassert.run_sane ~label:"profile-observed" orun);
   let plan = Runner.plan_for w ~context:Context.lf ~train:`Train in
@@ -135,7 +139,7 @@ let () =
     (Gassert.floor_respected ~label:"profile-observed" ~floor_mhz:floor
        ~ipc_threshold:(0.5 *. Metrics.ipc b1) sink);
   let sink2 = Sink.create ~domains:Domain.count () in
-  let _ = Runner.observed_run ~policy:`Online ~sink:sink2 w in
+  let _ = Runner.run ~sink:sink2 (Runner.Policy (Policies.online ())) w in
   no_violations "decision-grid"
     (Gassert.decisions_on_grid ~label:"online-observed" sink2);
 

@@ -37,7 +37,6 @@ module Store = Mcd_cache.Store
 module Runner = Mcd_experiments.Runner
 module Metrics = Mcd_power.Metrics
 module Suite = Mcd_workloads.Suite
-module Context = Mcd_profiling.Context
 module Error = Mcd_robust.Error
 
 let failures = ref 0
@@ -461,16 +460,8 @@ let () =
      comparison is against a genuinely independent computation. *)
   Store.set_default None;
   let w = Suite.by_name workload_name in
-  let expected_baseline =
-    Metrics.encode
-      (Runner.run_request w ~policy:`Baseline ~context:Context.lf
-         ~slowdown_pct:Runner.default_slowdown_pct)
-  in
-  let expected_online =
-    Metrics.encode
-      (Runner.run_request w ~policy:`Online ~context:Context.lf
-         ~slowdown_pct:Runner.default_slowdown_pct)
-  in
+  let expected_baseline = Metrics.encode (Runner.baseline w) in
+  let expected_online = Metrics.encode (Runner.online_run w) in
   (* Servers (forked below) inherit this default store. *)
   Store.set_default (Some (Store.create ~dir:cache_dir));
   phase_concurrency (socket 1) cache_dir ~expected_baseline ~expected_online;

@@ -215,7 +215,17 @@ let () =
   let sink =
     Sink.create ~stride_cycles:2048 ~domains:Mcd_domains.Domain.count ()
   in
-  let run = Mcd_experiments.Runner.observed_run ~policy:`Profile ~sink w in
+  let run =
+    Mcd_experiments.Runner.(
+      run ~sink
+        (Profile
+           {
+             context = Mcd_profiling.Context.lf;
+             train = `Train;
+             slowdown_pct = default_slowdown_pct;
+           })
+        w)
+  in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "mcd-trace-smoke.%d" (Unix.getpid ()))
