@@ -12,8 +12,8 @@
     process-wide table keyed by {!Mcd_cache.Key.canonical} of that key,
     shared by every domain, and read through the persistent store
     ({!Mcd_cache.Store.default}) when one is configured. The named entry
-    points ({!baseline}, {!offline_run}, {!policy_run}, ...) are
-    one-line calls into {!run}. *)
+    points ({!baseline}, {!offline_run}, {!policy_run}, ...) are thin
+    calls into {!run} and {!key}. *)
 
 type comparison = {
   degradation_pct : float;

@@ -54,9 +54,11 @@ val priority_level : priority -> int
 type policy = Baseline | Offline | Online | Profile
 
 val policies : policy list
+(** Every wire policy. *)
 
 val policy_name : policy -> string
-(** The wire label: a {!Mcd_experiments.Runner.method_of_label} label. *)
+(** The wire label, which the server parses with
+    {!Mcd_experiments.Runner.method_of_label}. *)
 
 val policy_of_name : string -> policy option
 
