@@ -465,7 +465,7 @@ let plan_run ?config w ~plan = run ?config (Plan plan) w
 let offline_run ?(slowdown_pct = default_slowdown_pct) w =
   run (Offline { slowdown_pct }) w
 let policy_run p w = run (Policy p) w
-let policy_key ?config p w = key ?config (Policy p) w
+let policy_key p w = key (Policy p) w
 let online_run ?params w = policy_run (Attack_decay.policy ?params ()) w
 
 (* The plan is rebuilt per call, never stored in the shared memo: a lazy

@@ -262,7 +262,6 @@ val policy_run :
 (** {!run} of a registry policy. *)
 
 val policy_key :
-  ?config:Mcd_cpu.Config.t ->
   Mcd_control.Policy.t -> Mcd_workloads.Workload.t -> Mcd_cache.Key.t
 (** {!key} of a registry policy. *)
 

@@ -641,6 +641,10 @@ let final_flush t =
     t.conns
 
 let run ?(digest = request_digest) ?compute:(compute_fn = compute) cfg =
+  (* A server starts with an empty memo, so every run it serves is
+     computed here and filed in the store, even when the process (or
+     the parent it was forked from) already memoised it. *)
+  Runner.clear_caches ();
   match acquire_start_lock cfg.socket with
   | Result.Error _ as e -> e
   | Ok lock_fd -> (

@@ -120,7 +120,10 @@ val run :
   config ->
   (unit, Mcd_robust.Error.t) result
 (** Bind, serve until drained, clean up (socket unlinked, scheduler
-    shut down, trace exported). [digest] and [compute] default to
+    shut down, trace exported). The process-wide
+    {!Mcd_experiments.Runner} memo is cleared first, so a server
+    computes and stores every run it serves, even one its process (or
+    the parent it was forked from) memoised earlier. [digest] and [compute] default to
     {!request_digest} and {!compute}; tests override them to inject
     faults or canned payloads. Returns typed errors for bind/listen
     failures. *)

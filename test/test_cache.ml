@@ -184,7 +184,7 @@ let derived_keys () =
   let w = pinned_key_workload () in
   let lf = Context.lf in
   let baseline ?config () =
-    Runner.policy_key ?config Mcd_control.Policies.baseline w
+    Runner.key ?config (Policy Mcd_control.Policies.baseline) w
   in
   let profile train slowdown_pct =
     Runner.key (Profile { context = lf; train; slowdown_pct }) w

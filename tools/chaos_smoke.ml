@@ -599,10 +599,7 @@ let () =
   let w = Suite.by_name workload_name in
   let expected_baseline = Metrics.encode (Runner.baseline w) in
   let expected_online = Metrics.encode (Runner.online_run w) in
-  (* Servers (forked below) inherit this default store — and the
-     process memo, which is cleared so they compute (and store) the
-     runs themselves. *)
-  Runner.clear_caches ();
+  (* Servers (forked below) inherit this default store. *)
   Store.set_default (Some (Store.create ~dir:cache_dir));
   phase_racing_starts (socket 1);
   phase_kill9_loop (socket 2)
