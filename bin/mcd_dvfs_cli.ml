@@ -82,7 +82,7 @@ let init_cache = function
    object, or any campaign hit/finding/report carrying one. Returns
    the designated exit code on failure. *)
 let load_spec path =
-  match In_channel.with_open_bin path In_channel.input_all with
+  match Mcd_util.Fs.read_file path with
   | exception Sys_error m -> Error (3, "mcd-dvfs: " ^ m)
   | text -> (
       match Json.of_string text with

@@ -17,12 +17,6 @@ type t = {
   mutex : Mutex.t;
 }
 
-let rec ensure_dir d =
-  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-    ensure_dir (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let objects_dir t = Filename.concat t.dir "objects"
 
 let create ~dir =
@@ -42,7 +36,7 @@ let create ~dir =
       mutex = Mutex.create ();
     }
   in
-  ensure_dir (objects_dir t);
+  Mcd_util.Fs.mkdir_p (objects_dir t);
   t
 
 let dir t = t.dir
@@ -155,7 +149,7 @@ let read_object t key =
   let path = object_path t key in
   if not (Sys.file_exists path) then Absent
   else
-    match In_channel.with_open_bin path In_channel.input_all with
+    match Mcd_util.Fs.read_file path with
     | exception Sys_error reason -> Corrupt reason
     | content -> (
         match parse_container ~key content with
@@ -164,29 +158,17 @@ let read_object t key =
             Found payload
         | Result.Error reason -> Corrupt reason)
 
-let tmp_seq = Atomic.make 0
-
 let add t key payload =
   let path = object_path t key in
-  ensure_dir (Filename.dirname path);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  match
-    Out_channel.with_open_bin tmp (fun oc ->
-        Out_channel.output_string oc (container key payload));
-    Sys.rename tmp path
-  with
-  | () ->
+  match Mcd_util.Fs.write_atomic path (container key payload) with
+  | Ok () ->
       count t t.stores;
       count_bytes t t.bytes_written (String.length payload)
-  | exception Sys_error reason ->
+  | Error message ->
       (* an unwritable cache degrades to recompute-only, never fails the
          run *)
-      (try Sys.remove tmp with Sys_error _ -> ());
       Printf.eprintf "mcd-dvfs: %s\n%!"
-        (Error.to_string (Error.Io_error { path; message = reason }))
+        (Error.to_string (Error.Io_error { path; message }))
 
 let find t key =
   match read_object t key with

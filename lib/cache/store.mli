@@ -9,9 +9,10 @@
 
     Durability rules:
     - {e writes are atomic}: content goes to a unique temp file in the
-      target directory, then [Sys.rename]s into place, so concurrent
-      writers under multi-domain or multi-process fan-out can never
-      produce a torn object (same-key racers write identical bytes —
+      target directory, then [Sys.rename]s into place
+      ({!Mcd_util.Fs.write_atomic}), so concurrent writers under
+      multi-domain or multi-process fan-out can never produce a torn
+      object (same-key racers write identical bytes —
       results are deterministic functions of the key — so last rename
       winning is harmless);
     - {e reads are corruption-tolerant}: any malformation — truncation,

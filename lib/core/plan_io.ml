@@ -334,7 +334,7 @@ let of_string_result ?(path = "<string>") ~tree content =
   end
 
 let load_result ~path ~tree =
-  match In_channel.with_open_text path In_channel.input_all with
+  match Mcd_util.Fs.read_file path with
   | exception Sys_error message ->
       Result.Error [ Error.Io_error { path; message } ]
   | content -> of_string_result ~path ~tree content

@@ -206,25 +206,12 @@ let chrome_trace ?domain_names sink =
 (* Directory writer                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 let write_dir ?domain_names ~dir sink =
-  mkdir_p dir;
   let out name contents =
     let path = Filename.concat dir name in
-    write_file path contents;
-    path
+    match Mcd_util.Fs.write_atomic path contents with
+    | Ok () -> path
+    | Error message -> raise (Sys_error message)
   in
   [
     out "metrics.jsonl" (metrics_jsonl sink);

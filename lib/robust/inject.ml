@@ -63,15 +63,10 @@ let of_name s = List.find_opt (fun f -> name f = s) (all @ serve_all)
 
 (* --- artifact corruption --------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+let overwrite path s =
+  match Mcd_util.Fs.write_atomic path s with
+  | Ok () -> ()
+  | Error message -> raise (Sys_error message)
 
 let bit_flip ~rng s =
   if String.length s = 0 then s
@@ -166,7 +161,7 @@ let drop_lines ~rng lines =
       Some (header :: List.filteri (fun i _ -> not (List.mem i victims)) body)
 
 let corrupt_file fault ~rng ~path =
-  let original = read_file path in
+  let original = Mcd_util.Fs.read_file path in
   let corrupted =
     match fault with
     | Truncate ->
@@ -190,7 +185,7 @@ let corrupt_file fault ~rng ~path =
   let corrupted =
     if corrupted = original then bit_flip ~rng original else corrupted
   in
-  write_file path corrupted
+  overwrite path corrupted
 
 (* --- runtime faults --------------------------------------------------- *)
 
@@ -223,11 +218,11 @@ let delay_compute ~rng ~max_delay_s compute req =
    cuts a random short tail so recovery must classify it as torn (good
    prefix kept, no typed corruption). *)
 let tear_file ~rng ~path =
-  let original = read_file path in
+  let original = Mcd_util.Fs.read_file path in
   let len = String.length original in
   if len > 0 then begin
     let cut = 1 + Rng.int rng (min 80 len) in
-    write_file path (String.sub original 0 (len - cut))
+    overwrite path (String.sub original 0 (len - cut))
   end
 
 let lost_write_probability = 0.5

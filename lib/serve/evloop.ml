@@ -45,6 +45,8 @@ let wait_fd fd ~read ~write ~timeout_ms =
   | [] -> None
   | ev :: _ -> Some ev
 
+let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
 module Outbuf = struct
   type t = {
     q : string Queue.t;

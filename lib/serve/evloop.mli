@@ -35,6 +35,12 @@ val wait_fd :
 (** {!wait} specialised to one descriptor — the pipelined client's
     pump. *)
 
+val now_s : unit -> float
+(** Seconds on the monotonic clock (CLOCK_MONOTONIC); only differences
+    mean anything. Every serve-plane deadline, grace period and latency
+    is measured on it, so a wall-clock step can neither fail a job
+    spuriously nor stretch a drain. *)
+
 (** Per-connection output queue with partial-write bookkeeping.
 
     Replies are appended as whole frames (strings); [flush] writes as

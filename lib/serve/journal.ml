@@ -243,34 +243,21 @@ let mark_failed t ~id ~msg =
 
 (* --- open / compact ----------------------------------------------------- *)
 
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | content -> Ok content
-  | exception Sys_error message -> Result.Error message
-
-let tmp_seq = Atomic.make 0
-
-let rec ensure_dir d =
-  if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-    ensure_dir (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let open_journal ?(fsync = true) ~path () =
-  ensure_dir (Filename.dirname path);
   let io message = Result.Error (Error.Io_error { path; message }) in
   let* content =
     if Sys.file_exists path then
-      match read_file path with
-      | Ok c -> Ok c
-      | Result.Error message -> io message
+      match Mcd_util.Fs.read_file path with
+      | c -> Ok c
+      | exception Sys_error message -> io message
     else Ok ""
   in
   let recovery = recover_content ~path content in
   (* Compact: the surviving state is the incomplete admits plus the
      high-water id (a [next] record — completed admits are dropped, so
-     their ids must not be reissued), rewritten atomically — tmp+rename,
-     the Cache.Store discipline — and appended to from there. *)
+     their ids must not be reissued), rewritten atomically by
+     Fs.write_atomic, the tmp+rename Cache.Store also writes with — and
+     appended to from there. *)
   let compacted =
     String.concat ""
       (render_record "next" (kvi "id" recovery.next_id ^ "\n")
@@ -278,19 +265,9 @@ let open_journal ?(fsync = true) ~path () =
            (fun e -> render_record "admit" (render_entry e ^ "\n"))
            recovery.replay)
   in
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  match
-    Out_channel.with_open_bin tmp (fun oc ->
-        Out_channel.output_string oc compacted);
-    Sys.rename tmp path
-  with
-  | exception Sys_error message ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      io message
-  | () -> (
+  match Mcd_util.Fs.write_atomic path compacted with
+  | Result.Error message -> io message
+  | Ok () -> (
       match Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 with
       | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
       | fd ->

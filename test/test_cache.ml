@@ -10,6 +10,7 @@ module Oracle = Mcd_core.Oracle
 module Path_model = Mcd_core.Path_model
 module Plan_io = Mcd_core.Plan_io
 module Histogram = Mcd_util.Histogram
+module Fs = Mcd_util.Fs
 module Runner = Mcd_experiments.Runner
 module Suite = Mcd_workloads.Suite
 module Context = Mcd_profiling.Context
@@ -21,14 +22,6 @@ let qcheck ?(seed = 0xcac4e) t =
 
 let dir_counter = ref 0
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
 let with_temp_store f =
   incr dir_counter;
   let dir =
@@ -36,8 +29,10 @@ let with_temp_store f =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "mcd-cache-test.%d.%d" (Unix.getpid ()) !dir_counter)
   in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f (Store.create ~dir))
+  Fs.rm_rf dir;
+  Fun.protect
+    ~finally:(fun () -> Fs.rm_rf dir)
+    (fun () -> f (Store.create ~dir))
 
 let rec object_files path =
   match Unix.lstat path with
@@ -275,6 +270,25 @@ let test_store_corrupt_recomputes_and_heals () =
   Alcotest.(check string) "healed" "deterministic result" (cached ());
   Alcotest.(check int) "no third compute" 2 !calls
 
+(* An unwritable store degrades to recompute-only: with [objects/]
+   replaced by a regular file every shard mkdir fails (ENOTDIR, which
+   holds even for root), yet [cached] still answers and never raises. *)
+let test_store_unwritable_degrades () =
+  with_temp_store @@ fun store ->
+  let objects = Filename.concat (Store.dir store) "objects" in
+  Fs.rm_rf objects;
+  Out_channel.with_open_bin objects (fun oc ->
+      Out_channel.output_string oc "not a directory");
+  let key = Key.make ~kind:"test" ~parts:[ ("n", "unwritable") ] in
+  let cached () =
+    Store.cached store ~key ~encode:Fun.id
+      ~decode:(fun s -> Ok s)
+      (fun () -> "computed anyway")
+  in
+  Alcotest.(check string) "cold" "computed anyway" (cached ());
+  Alcotest.(check string) "still recomputes" "computed anyway" (cached ());
+  Alcotest.(check int) "nothing stored" 0 (Store.stats store).Store.stores
+
 let test_store_detects_wrong_key () =
   (* An object whose embedded canonical key disagrees with the lookup
      key (digest collision, or a corrupted shard layout) must read as
@@ -379,6 +393,7 @@ let suite =
     ( "corrupt object recomputes and heals",
       `Quick,
       test_store_corrupt_recomputes_and_heals );
+    ("unwritable store degrades to recompute", `Quick, test_store_unwritable_degrades);
     ("wrong embedded key reads as corrupt", `Quick, test_store_detects_wrong_key);
     ("concurrent writers agree", `Quick, test_store_concurrent_writers);
     ("gc clears the store", `Quick, test_store_gc);

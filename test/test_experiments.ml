@@ -295,14 +295,6 @@ let test_policy_keys_pairwise_distinct () =
         keys)
     keys
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
-
 (* Warm-run the tournament against a fresh store: the cold pass must
    write exactly one object per (policy, workload) plus the shared
    baseline with zero hits (nothing aliased, nothing served across
@@ -314,12 +306,12 @@ let test_tournament_warm_rerun_isolated () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "mcd-tournament-test.%d" (Unix.getpid ()))
   in
-  rm_rf dir;
+  Mcd_util.Fs.rm_rf dir;
   let store = Store.create ~dir in
   Fun.protect
     ~finally:(fun () ->
       Store.set_default None;
-      rm_rf dir)
+      Mcd_util.Fs.rm_rf dir)
     (fun () ->
       Store.set_default (Some store);
       Runner.clear_caches ();

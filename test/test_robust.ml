@@ -121,12 +121,6 @@ let with_temp_plan f =
       close_out oc;
       f path)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_inject_corrupts_and_is_deterministic () =
   List.iter
     (fun fault ->
@@ -137,7 +131,7 @@ let test_inject_corrupts_and_is_deterministic () =
             with_temp_plan (fun path ->
                 let rng = Rng.split (Rng.create seed) ~label:"t" in
                 Inject.corrupt_file ff ~rng ~path;
-                read_file path)
+                Mcd_util.Fs.read_file path)
           in
           let a = once 5 and b = once 5 in
           Alcotest.(check bool)

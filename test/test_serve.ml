@@ -549,6 +549,21 @@ let test_journal_torn_tail_dropped () =
     (Journal.stats j2).Journal.recovered_torn;
   Journal.close j2
 
+(* A journal that cannot be created is a typed Io_error, never an
+   exception: Server.run then serves journal-less instead of dying. A
+   path below a regular file fails with ENOTDIR, which holds even for
+   root. *)
+let test_journal_uncreatable_is_io_error () =
+  with_journal_path @@ fun file ->
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc "x");
+  let path = Filename.concat (Filename.concat file "sub") "j.journal" in
+  match Journal.open_journal ~fsync:false ~path () with
+  | Error (Error.Io_error _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
+  | Ok (j, _) ->
+      Journal.close j;
+      Alcotest.fail "journal opened below a regular file"
+
 let test_journal_midfile_corruption_typed () =
   with_journal_path @@ fun path ->
   let j, _ = open_ok path in
@@ -996,6 +1011,9 @@ let suite =
     ( "journal mid-file corruption typed",
       `Quick,
       test_journal_midfile_corruption_typed );
+    ( "journal uncreatable is io error",
+      `Quick,
+      test_journal_uncreatable_is_io_error );
     ("scheduler runs and coalesces", `Quick, test_scheduler_runs_and_coalesces);
     ("scheduler backpressure", `Quick, test_scheduler_backpressure);
     ("scheduler drain rejects", `Quick, test_scheduler_drain_rejects);

@@ -8,6 +8,7 @@ module Time = Mcd_util.Time
 module Vec = Mcd_util.Vec
 module Agequeue = Mcd_util.Agequeue
 module Par = Mcd_util.Par
+module Fs = Mcd_util.Fs
 
 let qcheck ?(seed = 0x0711) t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
@@ -478,6 +479,86 @@ let test_par_iter () =
   Par.iter ~jobs:4 (fun i -> hits.(i) <- hits.(i) + 1) (List.init 16 Fun.id);
   Alcotest.(check (array int)) "each item once" (Array.make 16 1) hits
 
+(* --- Fs ------------------------------------------------------------- *)
+
+let fs_counter = ref 0
+
+let with_temp_dir f =
+  incr fs_counter;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mcd-fs-test.%d.%d" (Unix.getpid ()) !fs_counter)
+  in
+  Fs.rm_rf dir;
+  Fs.mkdir_p dir;
+  Fun.protect ~finally:(fun () -> Fs.rm_rf dir) (fun () -> f dir)
+
+let write path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let tmp_siblings dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun name ->
+         let rec has i =
+           i + 5 <= String.length name
+           && (String.sub name i 5 = ".tmp." || has (i + 1))
+         in
+         has 0)
+
+let test_fs_rm_rf_tree () =
+  with_temp_dir @@ fun dir ->
+  let tree = Filename.concat dir "tree" in
+  let deep = Filename.concat (Filename.concat tree "a") "b" in
+  Fs.mkdir_p deep;
+  write (Filename.concat deep "leaf") "x";
+  write (Filename.concat tree "top") "y";
+  Fs.rm_rf tree;
+  Alcotest.(check bool) "tree gone" false (Sys.file_exists tree);
+  Fs.rm_rf tree;
+  Alcotest.(check bool) "missing path is a no-op" false (Sys.file_exists tree)
+
+let test_fs_rm_rf_keeps_symlink_target () =
+  with_temp_dir @@ fun dir ->
+  let target = Filename.concat dir "target" in
+  Fs.mkdir_p target;
+  write (Filename.concat target "keep") "kept";
+  let tree = Filename.concat dir "tree" in
+  Fs.mkdir_p tree;
+  Unix.symlink target (Filename.concat tree "link");
+  Fs.rm_rf tree;
+  Alcotest.(check bool) "tree gone" false (Sys.file_exists tree);
+  Alcotest.(check string) "link target intact" "kept"
+    (Fs.read_file (Filename.concat target "keep"))
+
+let test_fs_write_atomic () =
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat (Filename.concat dir "sub") "file" in
+  Alcotest.(check bool) "first write" true (Fs.write_atomic path "old" = Ok ());
+  Alcotest.(check bool) "replace" true (Fs.write_atomic path "new" = Ok ());
+  Alcotest.(check string) "content replaced" "new" (Fs.read_file path);
+  Alcotest.(check (list string)) "no tmp sibling after success" []
+    (tmp_siblings (Filename.dirname path));
+  (* renaming over a directory fails after the tmp file was written *)
+  let blocked = Filename.concat dir "blocked" in
+  Fs.mkdir_p blocked;
+  Alcotest.(check bool) "rename over a directory fails" true
+    (Result.is_error (Fs.write_atomic blocked "x"));
+  (* a parent that is a regular file fails before any tmp file exists *)
+  Alcotest.(check bool) "parent is a file fails" true
+    (Result.is_error (Fs.write_atomic (Filename.concat path "child") "x"));
+  Alcotest.(check (list string)) "no tmp sibling after failure" []
+    (tmp_siblings dir);
+  Alcotest.(check string) "failed writes leave content" "new"
+    (Fs.read_file path)
+
+let test_fs_mkdir_p_idempotent () =
+  with_temp_dir @@ fun dir ->
+  let deep = Filename.concat (Filename.concat dir "x") "y" in
+  Fs.mkdir_p deep;
+  Fs.mkdir_p deep;
+  Alcotest.(check bool) "directory exists" true (Sys.is_directory deep)
+
 let prop_par_map_deterministic =
   QCheck.Test.make ~name:"par map is order-preserving at any jobs" ~count:50
     QCheck.(pair (int_range 1 8) (small_list small_int))
@@ -523,6 +604,10 @@ let suite =
     ("par propagates exception", `Quick, test_par_propagates_exception);
     ("par preserves backtrace", `Quick, test_par_preserves_backtrace);
     ("par iter", `Quick, test_par_iter);
+    ("fs rm_rf removes a tree", `Quick, test_fs_rm_rf_tree);
+    ("fs rm_rf keeps symlink target", `Quick, test_fs_rm_rf_keeps_symlink_target);
+    ("fs write_atomic", `Quick, test_fs_write_atomic);
+    ("fs mkdir_p idempotent", `Quick, test_fs_mkdir_p_idempotent);
     qcheck prop_agequeue_matches_list_reference;
     qcheck prop_par_map_deterministic;
     qcheck prop_rng_int_in_bounds;

@@ -17,30 +17,13 @@
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
+open Kit
+
 module Store = Mcd_cache.Store
 module Runner = Mcd_experiments.Runner
 module Metrics = Mcd_power.Metrics
 module Plan_io = Mcd_core.Plan_io
 module Suite = Mcd_workloads.Suite
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "cache_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error _ -> ()
 
 let rec object_files path =
   match Unix.lstat path with
@@ -66,13 +49,7 @@ let render () =
       Plan_io.to_string (Lazy.force profiled.Runner.plan);
     ]
 
-let () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-cache-smoke.%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
+let smoke dir =
   let store = Store.create ~dir in
   Store.set_default (Some store);
 
@@ -123,8 +100,8 @@ let () =
   check
     (s3.Store.hits - s2.Store.hits >= 3)
     "healed pass hit only %d objects"
-    (s3.Store.hits - s2.Store.hits);
+    (s3.Store.hits - s2.Store.hits)
 
-  rm_rf dir;
-  if !failures = 0 then print_endline "cache_smoke: OK (cold = warm = healed)"
-  else exit 1
+let () =
+  with_temp_dir smoke;
+  finish ()

@@ -45,140 +45,19 @@
    a hung client turns into a loud failure instead of a stuck CI job.
    Exits 0 on success, 1 with a message on the first violation. *)
 
-module Server = Mcd_serve.Server
-module Client = Mcd_serve.Client
+open Kit
+
 module Protocol = Mcd_serve.Protocol
 module Journal = Mcd_serve.Journal
 module Store = Mcd_cache.Store
 module Runner = Mcd_experiments.Runner
 module Metrics = Mcd_power.Metrics
 module Suite = Mcd_workloads.Suite
-module Error = Mcd_robust.Error
 module Inject = Mcd_robust.Inject
 module Rng = Mcd_util.Rng
 
 let seed = 1789
 let cycles = 22
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "chaos_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
-  in
-  nn = 0 || go 0
-
-let metric_value body name =
-  let needle = Printf.sprintf "\"name\":\"%s\"" name in
-  String.split_on_char '\n' body
-  |> List.find_opt (fun line -> contains line needle)
-  |> Option.map (fun line ->
-         let marker = "\"value\":" in
-         let rec find i =
-           if i + String.length marker > String.length line then None
-           else if String.sub line i (String.length marker) = marker then
-             Some (i + String.length marker)
-           else find (i + 1)
-         in
-         match find 0 with
-         | None -> nan
-         | Some start ->
-             let stop = ref start in
-             while
-               !stop < String.length line
-               &&
-               match line.[!stop] with
-               | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-               | _ -> false
-             do
-               incr stop
-             done;
-             float_of_string (String.sub line start (!stop - start)))
-
-(* --- process helpers --------------------------------------------------- *)
-
-let fork_server ?digest ?compute cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        match Server.run ?digest ?compute cfg with
-        | Ok () -> 0
-        | Error e ->
-            Printf.eprintf "chaos_smoke server: %s\n%!" (Error.to_string e);
-            1
-      in
-      exit code
-  | pid -> pid
-
-let wait_for_server socket =
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec go () =
-    match Client.connect ~socket with
-    | Ok c ->
-        Client.close c;
-        true
-    | Error _ ->
-        if Unix.gettimeofday () > deadline then false
-        else begin
-          Unix.sleepf 0.05;
-          go ()
-        end
-  in
-  go ()
-
-let reap_status pid = snd (Unix.waitpid [] pid)
-
-let reap ~what pid =
-  match reap_status pid with
-  | Unix.WEXITED code -> check (code = 0) "%s exited with code %d" what code
-  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-      check false "%s killed/stopped by signal %d" what s
-
-let drain_and_reap ~what socket pid =
-  (match Client.connect ~socket with
-  | Ok c ->
-      (match Client.drain c with
-      | Ok () -> ()
-      | Error e -> check false "drain %s: %s" what (Error.to_string e));
-      Client.close c
-  | Error e -> check false "connect to drain %s: %s" what (Error.to_string e));
-  reap ~what pid
-
-let server_stat socket name =
-  match Client.connect ~socket with
-  | Error e ->
-      check false "stats connect: %s" (Error.to_string e);
-      0.0
-  | Ok c ->
-      let v =
-        match Client.stats c with
-        | Ok body -> Option.value ~default:0.0 (metric_value body name)
-        | Error e ->
-            check false "stats: %s" (Error.to_string e);
-            0.0
-      in
-      Client.close c;
-      v
 
 (* --- phase 1: racing starts -------------------------------------------- *)
 
@@ -309,7 +188,7 @@ let phase_kill9_loop socket journal_path ~expected_baseline ~expected_online =
     (* restart on the same journal + cache *)
     server := fork_server cfg;
     check (wait_for_server socket) "cycle %d restart never came up" cycle;
-    total_replayed := !total_replayed +. server_stat socket "serve.replayed";
+    total_replayed := !total_replayed +. stat socket "serve.replayed";
     (* an acked id is either replayed (status answers) or compacted
        away because it completed (typed Unknown_job) — never anything
        else *)
@@ -388,7 +267,7 @@ let phase_worker_crash socket journal_path =
   let server = fork_server ~digest:canned_digest ~compute:canned_payload cfg in
   check (wait_for_server socket) "post-crash server never came up";
   check
-    (server_stat socket "serve.replayed" >= 1.0)
+    (stat socket "serve.replayed" >= 1.0)
     "post-crash server replayed nothing";
   (match
      Client.run_with_retry ~policy:(retry_policy ~cycle:0) ~socket victim
@@ -439,16 +318,12 @@ let phase_deadline socket =
           check (payload = canned_payload fast) "fast payload differs"
       | Error e ->
           check false "fast job after deadline kill: %s" (Error.to_string e));
-      (match Client.stats c with
-      | Ok body ->
-          let v name = Option.value ~default:0.0 (metric_value body name) in
-          check
-            (v "serve.deadline_exceeded" = 1.0)
-            "deadline_exceeded=%g, want 1" (v "serve.deadline_exceeded");
-          check (v "serve.completed" = 1.0) "completed=%g, want 1"
-            (v "serve.completed")
-      | Error e -> check false "deadline stats: %s" (Error.to_string e));
       Client.close c);
+  List.iter
+    (fun name ->
+      let got = stat socket name in
+      check (got = 1.0) "%s=%g, want 1" name got)
+    [ "serve.deadline_exceeded"; "serve.completed" ];
   drain_and_reap ~what:"deadline server" socket server
 
 (* --- phase 5: drain deadline answers parked waiters -------------------- *)
@@ -555,7 +430,7 @@ let phase_sigterm_replay socket journal_path =
   let server = fork_server ~digest:canned_digest ~compute cfg in
   check (wait_for_server socket) "replay server never came up";
   check
-    (server_stat socket "serve.replayed" >= 1.0)
+    (stat socket "serve.replayed" >= 1.0)
     "crafted journal was not replayed";
   Unix.kill server Sys.sigterm;
   reap ~what:"server SIGTERMed during replay" server;
@@ -565,7 +440,7 @@ let phase_sigterm_replay socket journal_path =
   let server = fork_server ~digest:canned_digest ~compute cfg in
   check (wait_for_server socket) "post-replay server never came up";
   check
-    (server_stat socket "serve.replayed" = 0.0)
+    (stat socket "serve.replayed" = 0.0)
     "journal not compacted after drained replay";
   (match Client.connect ~socket with
   | Ok c ->
@@ -580,19 +455,9 @@ let phase_sigterm_replay socket journal_path =
 
 (* --- main -------------------------------------------------------------- *)
 
-let () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  ignore (Unix.alarm 540);
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-chaos-smoke.%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
+let smoke tmp =
   let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
   let cache_dir = Filename.concat tmp "cache" in
-  Fun.protect ~finally:(fun () -> rm_rf tmp) @@ fun () ->
   (* One-shot expected payloads, computed with caching off so the
      comparison is against a genuinely independent computation. *)
   Store.set_default None;
@@ -608,9 +473,10 @@ let () =
   phase_worker_crash (socket 3) (Filename.concat tmp "crash.journal");
   phase_deadline (socket 4);
   phase_drain_parked (socket 5) (Filename.concat tmp "drain.journal");
-  phase_sigterm_replay (socket 6) (Filename.concat tmp "replay.journal");
-  if !failures = 0 then print_endline "chaos_smoke: OK"
-  else begin
-    Printf.eprintf "chaos_smoke: %d failure(s)\n%!" !failures;
-    exit 1
-  end
+  phase_sigterm_replay (socket 6) (Filename.concat tmp "replay.journal")
+
+let () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  ignore (Unix.alarm 540);
+  with_temp_dir smoke;
+  finish ()

@@ -18,6 +18,8 @@
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
+open Kit
+
 module Spec = Mcd_gen.Spec
 module Gassert = Mcd_gen.Assert
 module P = Mcd_isa.Program
@@ -28,34 +30,15 @@ module Par = Mcd_util.Par
 module Metrics = Mcd_power.Metrics
 module Domain = Mcd_domains.Domain
 module Sink = Mcd_obs.Sink
-module Json = Mcd_obs.Json
 module Context = Mcd_profiling.Context
 module Runner = Mcd_experiments.Runner
 module Policies = Mcd_control.Policies
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "gen_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
 
 let no_violations label vs =
   List.iter
     (fun (v : Gassert.violation) ->
       check false "%s: %s: %s" label v.Gassert.check v.Gassert.detail)
     vs
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 let () =
   let cli =
@@ -158,7 +141,7 @@ let () =
   let rc = Sys.command cmd in
   check (rc = 0) "exit code %d from %s" rc cmd;
   let findings =
-    match Json.of_string (read_file json_path) with
+    match Json.of_string (Fs.read_file json_path) with
     | Error e ->
         check false "campaign JSON does not parse: %s" e;
         []
@@ -213,5 +196,4 @@ let () =
   end;
   Sys.remove out;
   Sys.remove json_path;
-  if !failures > 0 then exit 1;
-  print_endline "gen_smoke: OK"
+  finish ()

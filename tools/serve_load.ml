@@ -31,33 +31,13 @@
    nothing is lost (every issued request gets a typed answer), and the
    pipelined closed loop beats one-shot by at least 3x. *)
 
-module Server = Mcd_serve.Server
-module Client = Mcd_serve.Client
+open Kit
+
 module Pipeline = Mcd_serve.Client.Pipeline
 module Protocol = Mcd_serve.Protocol
-module Error = Mcd_robust.Error
 module Rng = Mcd_util.Rng
 
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "serve_load: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-(* --- forked canned server ---------------------------------------------- *)
+(* --- canned compute ------------------------------------------------------ *)
 
 (* Unique digest per (workload, slowdown) spelling: warm traffic repeats
    one spelling per workload and coalesces; cold traffic varies the
@@ -68,54 +48,6 @@ let canned_digest (r : Protocol.request) =
 let canned_compute ~service_ms (r : Protocol.request) =
   if service_ms > 0.0 then Unix.sleepf (service_ms /. 1000.0);
   Printf.sprintf "payload-%s-%s" r.workload (Mcd_cache.Key.float_param r.slowdown_pct)
-
-let fork_server ~service_ms cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        match
-          Server.run ~digest:canned_digest
-            ~compute:(canned_compute ~service_ms) cfg
-        with
-        | Ok () -> 0
-        | Error e ->
-            Printf.eprintf "serve_load server: %s\n%!" (Error.to_string e);
-            1
-      in
-      exit code
-  | pid -> pid
-
-let wait_for_server socket =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () =
-    match Client.connect ~socket with
-    | Ok c ->
-        Client.close c;
-        true
-    | Error _ ->
-        if Unix.gettimeofday () > deadline then false
-        else begin
-          Unix.sleepf 0.05;
-          go ()
-        end
-  in
-  go ()
-
-let drain_and_reap ~what socket pid =
-  (match Client.connect ~socket with
-  | Ok c ->
-      (match Client.drain c with
-      | Ok () -> ()
-      | Error e -> check false "drain %s: %s" what (Error.to_string e));
-      Client.close c
-  | Error e -> check false "connect to drain %s: %s" what (Error.to_string e));
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, Unix.WEXITED code -> check false "%s exited with code %d" what code
-  | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
-      check false "%s killed/stopped by signal %d" what s
 
 (* --- request mixes ------------------------------------------------------ *)
 
@@ -466,14 +398,7 @@ let () =
     conc := 16;
     service_ms := 2.0
   end;
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-serve-load.%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf tmp) @@ fun () ->
+  with_temp_dir @@ fun tmp ->
   Mcd_cache.Store.set_default None;
   let socket = Filename.concat tmp "serve.sock" in
   let journal = Filename.concat tmp "serve.journal" in
@@ -487,7 +412,11 @@ let () =
       drain_grace_s = 0.2;
     }
   in
-  let server = fork_server ~service_ms:!service_ms cfg in
+  let server =
+    fork_server ~digest:canned_digest
+      ~compute:(canned_compute ~service_ms:!service_ms)
+      cfg
+  in
   if not (wait_for_server socket) then begin
     Printf.eprintf "serve_load: server never came up\n%!";
     exit 1
@@ -590,8 +519,4 @@ let () =
     (float_of_int cold.completed /. cold.duration_s)
     (percentile cold.latencies_ms 0.99)
     saturated.rejected saturated.sent speedup;
-  if !failures = 0 then print_endline "serve_load: OK"
-  else begin
-    Printf.eprintf "serve_load: %d failure(s)\n%!" !failures;
-    exit 1
-  end
+  finish ()

@@ -30,119 +30,13 @@
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
-module Server = Mcd_serve.Server
-module Client = Mcd_serve.Client
+open Kit
+
 module Protocol = Mcd_serve.Protocol
 module Store = Mcd_cache.Store
 module Runner = Mcd_experiments.Runner
 module Metrics = Mcd_power.Metrics
 module Suite = Mcd_workloads.Suite
-module Error = Mcd_robust.Error
-
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "serve_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(* Pull one instrument's value out of a metrics_jsonl body. Counters
-   print integers, gauges floats; both parse as float. *)
-let metric_value body name =
-  let needle = Printf.sprintf "\"name\":\"%s\"" name in
-  String.split_on_char '\n' body
-  |> List.find_opt (fun line -> contains line needle)
-  |> Option.map (fun line ->
-         match String.index_opt line ':' with
-         | None -> nan
-         | Some _ -> (
-             let marker = "\"value\":" in
-             let rec find i =
-               if i + String.length marker > String.length line then None
-               else if String.sub line i (String.length marker) = marker then
-                 Some (i + String.length marker)
-             else find (i + 1)
-             in
-             match find 0 with
-             | None -> nan
-             | Some start ->
-                 let stop = ref start in
-                 while
-                   !stop < String.length line
-                   && (match line.[!stop] with
-                      | '0' .. '9' | '.' | '-' | 'e' | '+' -> true
-                      | _ -> false)
-                 do
-                   incr stop
-                 done;
-                 float_of_string (String.sub line start (!stop - start))))
-
-(* --- process helpers --------------------------------------------------- *)
-
-let fork_server ?digest ?compute cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      let code =
-        match Server.run ?digest ?compute cfg with
-        | Ok () -> 0
-        | Error e ->
-            Printf.eprintf "serve_smoke server: %s\n%!" (Error.to_string e);
-            1
-      in
-      exit code
-  | pid -> pid
-
-let wait_for_server socket =
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec go () =
-    match Client.connect ~socket with
-    | Ok c ->
-        Client.close c;
-        true
-    | Error _ ->
-        if Unix.gettimeofday () > deadline then false
-        else begin
-          Unix.sleepf 0.05;
-          go ()
-        end
-  in
-  go ()
-
-let reap ~what pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED code ->
-      check (code = 0) "%s exited with code %d" what code
-  | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
-      check false "%s killed/stopped by signal %d" what s
-
-let drain_and_reap ~what socket pid =
-  (match Client.connect ~socket with
-  | Ok c ->
-      (match Client.drain c with
-      | Ok () -> ()
-      | Error e -> check false "drain %s: %s" what (Error.to_string e));
-      Client.close c
-  | Error e -> check false "connect to drain %s: %s" what (Error.to_string e));
-  reap ~what pid
 
 (* --- the request mix --------------------------------------------------- *)
 
@@ -234,28 +128,20 @@ let phase_concurrency socket cache_dir ~expected_baseline ~expected_online =
         | pid -> pid)
   in
   List.iteri (fun i pid -> reap ~what:(Printf.sprintf "client %d" i) pid) clients;
-  (match Client.connect ~socket with
-  | Error e -> check false "stats connect: %s" (Error.to_string e)
-  | Ok c ->
-      (match Client.stats c with
-      | Error e -> check false "stats: %s" (Error.to_string e)
-      | Ok body ->
-          let v name =
-            match metric_value body name with
-            | Some v -> int_of_float v
-            | None ->
-                check false "stats missing %s" name;
-                -1
-          in
-          (* 8 clients x 4 submits = 32, of which only the 2 distinct
-             digests compute; every other submit must have coalesced. *)
-          check (v "serve.submitted" = 32) "submitted=%d, want 32" (v "serve.submitted");
-          check (v "serve.completed" = 2) "completed=%d, want 2" (v "serve.completed");
-          check (v "serve.coalesced" = 30) "coalesced=%d, want 30" (v "serve.coalesced");
-          check (v "serve.rejected" = 0) "rejected=%d, want 0" (v "serve.rejected");
-          check (v "serve.failed" = 0) "failed=%d, want 0" (v "serve.failed");
-          check (v "store.stores" = 2) "store.stores=%d, want 2" (v "store.stores"));
-      Client.close c);
+  (* 8 clients x 4 submits = 32, of which only the 2 distinct digests
+     compute; every other submit must have coalesced. *)
+  List.iter
+    (fun (name, want) ->
+      let got = int_of_float (stat socket name) in
+      check (got = want) "%s=%d, want %d" name got want)
+    [
+      ("serve.submitted", 32);
+      ("serve.completed", 2);
+      ("serve.coalesced", 30);
+      ("serve.rejected", 0);
+      ("serve.failed", 0);
+      ("store.stores", 2);
+    ];
   drain_and_reap ~what:"phase 1 server" socket server;
   let objects, _bytes = Store.disk_usage (Store.create ~dir:cache_dir) in
   check (objects >= 2) "cache holds %d objects after phase 1, want >= 2" objects
@@ -380,15 +266,9 @@ let phase_kill_and_restart socket ~expected_online =
       | Ok payload ->
           check (payload = expected_online) "warm restart served different bytes"
       | Error e -> check false "phase 4 run: %s" (Error.to_string e));
-      (match Client.stats c with
-      | Ok body ->
-          let hits =
-            Option.value ~default:0.0 (metric_value body "store.hits")
-          in
-          check (hits >= 1.0)
-            "store.hits=%g after warm restart, want >= 1" hits
-      | Error e -> check false "phase 4 stats: %s" (Error.to_string e));
       Client.close c);
+  let hits = stat socket "store.hits" in
+  check (hits >= 1.0) "store.hits=%g after warm restart, want >= 1" hits;
   drain_and_reap ~what:"phase 4 server" socket server
 
 (* --- phase 5: completion wakes an idle server's parked wait fast ------- *)
@@ -444,18 +324,9 @@ let phase_idle_wakeup socket =
 
 (* --- main -------------------------------------------------------------- *)
 
-let () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let tmp =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-serve-smoke.%d" (Unix.getpid ()))
-  in
-  rm_rf tmp;
-  Unix.mkdir tmp 0o755;
+let smoke tmp =
   let socket n = Filename.concat tmp (Printf.sprintf "s%d.sock" n) in
   let cache_dir = Filename.concat tmp "cache" in
-  Fun.protect ~finally:(fun () -> rm_rf tmp) @@ fun () ->
   (* One-shot expected payloads, computed with caching off so the
      comparison is against a genuinely independent computation. *)
   Store.set_default None;
@@ -467,9 +338,9 @@ let () =
   phase_concurrency (socket 1) cache_dir ~expected_baseline ~expected_online;
   phase_overload (socket 2);
   phase_kill_and_restart (socket 3) ~expected_online;
-  phase_idle_wakeup (socket 5);
-  if !failures = 0 then print_endline "serve_smoke: OK"
-  else begin
-    Printf.eprintf "serve_smoke: %d failure(s)\n%!" !failures;
-    exit 1
-  end
+  phase_idle_wakeup (socket 5)
+
+let () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_temp_dir smoke;
+  finish ()

@@ -18,7 +18,8 @@
 
    Exits 0 on success, 1 with a message on the first violation. *)
 
-module Json = Mcd_obs.Json
+open Kit
+
 module Sink = Mcd_obs.Sink
 module Metrics = Mcd_obs.Metrics
 
@@ -26,29 +27,11 @@ module Metrics = Mcd_obs.Metrics
    every [to_*_opt] accessor maps to [None]. *)
 let mem key j = match Json.member key j with Some v -> v | None -> Json.Null
 
-let failures = ref 0
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then begin
-        incr failures;
-        Printf.eprintf "trace_smoke: FAIL %s\n%!" msg
-      end)
-    fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let parse_or_die what s =
   match Json.of_string s with
   | Ok j -> j
   | Error e ->
-      Printf.eprintf "trace_smoke: FAIL %s does not parse: %s\n%!" what e;
+      Printf.eprintf "%s: FAIL %s does not parse: %s\n%!" tool what e;
       exit 1
 
 (* ---- metrics.jsonl ------------------------------------------------- *)
@@ -62,7 +45,7 @@ let default_required_metrics =
 let check_metrics_jsonl ?(required = default_required_metrics)
     ?(allow_empty = false) path =
   let lines =
-    read_file path |> String.split_on_char '\n'
+    Fs.read_file path |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
   in
   if not allow_empty then check (lines <> []) "metrics.jsonl is empty";
@@ -98,7 +81,7 @@ let check_metrics_jsonl ?(required = default_required_metrics)
 (* ---- trace.json ---------------------------------------------------- *)
 
 let check_chrome_trace ?(allow_empty = false) path ~reconfigurations =
-  let j = parse_or_die "trace.json" (read_file path) in
+  let j = parse_or_die "trace.json" (Fs.read_file path) in
   let events =
     match mem "traceEvents" j |> Json.to_list_opt with
     | Some l -> l
@@ -144,7 +127,7 @@ let check_chrome_trace ?(allow_empty = false) path ~reconfigurations =
 
 let check_series_csv path ~samples =
   let lines =
-    read_file path |> String.split_on_char '\n'
+    Fs.read_file path |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
   in
   match lines with
@@ -170,20 +153,15 @@ let check_series_csv path ~samples =
    a sink with exactly one sample. Both must still produce three files
    that parse back clean. *)
 let check_edge_exports base =
-  let rm_written dir written =
-    List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) written;
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  in
   let export dir sink =
     let written = Mcd_obs.Export.write_dir ~dir sink in
     check (List.length written = 3)
-      "edge export: expected 3 files in %s, got %d" dir (List.length written);
-    written
+      "edge export: expected 3 files in %s, got %d" dir (List.length written)
   in
   (* empty sink: no events, no samples *)
   let dir = Filename.concat base "edge-empty" in
   let sink = Sink.create ~domains:Mcd_domains.Domain.count () in
-  let written = export dir sink in
+  export dir sink;
   ignore
     (check_metrics_jsonl ~required:[] ~allow_empty:true
        (Filename.concat dir "metrics.jsonl"));
@@ -191,7 +169,6 @@ let check_edge_exports base =
     (Filename.concat dir "trace.json")
     ~reconfigurations:0;
   check_series_csv (Filename.concat dir "series.csv") ~samples:0;
-  rm_written dir written;
   (* one-sample sink: the smallest non-trivial series *)
   let dir = Filename.concat base "edge-one" in
   let sink = Sink.create ~domains:Mcd_domains.Domain.count () in
@@ -200,17 +177,16 @@ let check_edge_exports base =
     ~mhz:(Array.make n 1000.0) ~volt:(Array.make n 1.2)
     ~occ:(Array.make n 0.0)
     ~pj:(Array.make (n + 1) 1.0);
-  let written = export dir sink in
+  export dir sink;
   ignore
     (check_metrics_jsonl ~required:[ "obs.samples" ]
        (Filename.concat dir "metrics.jsonl"));
   check_chrome_trace (Filename.concat dir "trace.json") ~reconfigurations:0;
-  check_series_csv (Filename.concat dir "series.csv") ~samples:1;
-  rm_written dir written
+  check_series_csv (Filename.concat dir "series.csv") ~samples:1
 
 (* ---- driver -------------------------------------------------------- *)
 
-let () =
+let smoke dir =
   let w = Mcd_workloads.Mediabench.adpcm_decode in
   let sink =
     Sink.create ~stride_cycles:2048 ~domains:Mcd_domains.Domain.count ()
@@ -225,10 +201,6 @@ let () =
              slowdown_pct = default_slowdown_pct;
            })
         w)
-  in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mcd-trace-smoke.%d" (Unix.getpid ()))
   in
   check_edge_exports dir;
   let domain_names =
@@ -245,11 +217,8 @@ let () =
   in
   let _names = check_metrics_jsonl (Filename.concat dir "metrics.jsonl") in
   check_chrome_trace (Filename.concat dir "trace.json") ~reconfigurations;
-  check_series_csv (Filename.concat dir "series.csv") ~samples;
-  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) written;
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  if !failures = 0 then print_endline "trace_smoke: OK"
-  else begin
-    Printf.eprintf "trace_smoke: %d failure(s)\n%!" !failures;
-    exit 1
-  end
+  check_series_csv (Filename.concat dir "series.csv") ~samples
+
+let () =
+  with_temp_dir smoke;
+  finish ()
