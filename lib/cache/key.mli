@@ -25,6 +25,10 @@ val make : kind:string -> parts:(string * string) list -> t
     space, ['%'], or newline are percent-encoded in the canonical
     rendering. *)
 
+val encode_value : string -> string
+(** Percent-encode space, ['%'] and newline — the escaping of canonical
+    key lines, shared by the serve protocol's [key=value] tokens. *)
+
 val kind : t -> string
 
 val canonical : t -> string

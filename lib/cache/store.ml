@@ -19,6 +19,11 @@ type t = {
 
 let objects_dir t = Filename.concat t.dir "objects"
 
+(* an unwritable cache degrades to recompute-only, never fails the run *)
+let log_io_error ~path message =
+  Printf.eprintf "mcd-dvfs: %s\n%!"
+    (Error.to_string (Error.Io_error { path; message }))
+
 let create ~dir =
   let metrics = Metrics.create () in
   let t =
@@ -36,7 +41,8 @@ let create ~dir =
       mutex = Mutex.create ();
     }
   in
-  Mcd_util.Fs.mkdir_p (objects_dir t);
+  (try Mcd_util.Fs.mkdir_p (objects_dir t)
+   with Sys_error message -> log_io_error ~path:(objects_dir t) message);
   t
 
 let dir t = t.dir
@@ -164,11 +170,7 @@ let add t key payload =
   | Ok () ->
       count t t.stores;
       count_bytes t t.bytes_written (String.length payload)
-  | Error message ->
-      (* an unwritable cache degrades to recompute-only, never fails the
-         run *)
-      Printf.eprintf "mcd-dvfs: %s\n%!"
-        (Error.to_string (Error.Io_error { path; message }))
+  | Error message -> log_io_error ~path message
 
 let find t key =
   match read_object t key with

@@ -24,7 +24,9 @@
 type t
 
 val create : dir:string -> t
-(** Open (creating directories as needed) a store rooted at [dir]. *)
+(** Open (creating directories as needed) a store rooted at [dir]. A
+    directory that cannot be created logs an I/O diagnostic; the store
+    then degrades to recompute-only, like an unwritable one. *)
 
 val dir : t -> string
 

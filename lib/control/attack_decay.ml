@@ -1,7 +1,6 @@
 module Controller = Mcd_cpu.Controller
 module Domain = Mcd_domains.Domain
 module Freq = Mcd_domains.Freq
-module Reconfig = Mcd_domains.Reconfig
 
 type params = {
   interval_cycles : int;
@@ -20,22 +19,18 @@ let default_params =
     ipc_guard = 0.965;
   }
 
-(* queue capacities used to normalise the domain-owned backlog *)
-let capacity = Policy.queue_capacity
-let scaled_domains = Policy.scaled_domains
-
 let revert_cooldown = 6
+let source = "on-line"
 
-let controller ?(params = default_params) ?sink () =
+let rule params (act : Policy.actuator) =
   let prev_util = Array.make Domain.count (-1.0) in
-  let cur_freq = Array.make Domain.count Freq.fmax_mhz in
   let cooldown = Array.make Domain.count 0 in
   let pending_check = Array.make Domain.count 0 in
   let ipc_before = Array.make Domain.count 0.0 in
   let pre_decay = Array.make Domain.count Freq.fmax_mhz in
   let idle_streak = Array.make Domain.count 0 in
   let smooth_ipc = ref (-1.0) in
-  let on_sample (s : Controller.sample) ~now =
+  fun (s : Controller.sample) ->
     let raw_ipc =
       float_of_int s.Controller.retired
       /. float_of_int (max 1 s.Controller.elapsed_cycles)
@@ -47,24 +42,6 @@ let controller ?(params = default_params) ?sink () =
       else (0.4 *. raw_ipc) +. (0.6 *. !smooth_ipc)
     in
     smooth_ipc := ipc;
-    let changed = ref false in
-    let set d f' why =
-      let i = Domain.index d in
-      let f' = Freq.clamp f' in
-      if f' <> cur_freq.(i) then begin
-        (match sink with
-        | None -> ()
-        | Some snk ->
-            Mcd_obs.Sink.decision snk ~t_ps:now ~source:"on-line"
-              ~trigger:Mcd_obs.Sink.Sample
-              ~detail:
-                (Printf.sprintf "%s %s %d->%d MHz" why (Domain.name d)
-                   cur_freq.(i) f')
-              ());
-        cur_freq.(i) <- f';
-        changed := true
-      end
-    in
     List.iter
       (fun d ->
         let i = Domain.index d in
@@ -79,7 +56,7 @@ let controller ?(params = default_params) ?sink () =
             (* undo the decay exactly: restore the frequency recorded
                just before it, not cur + attack_step (150 MHz up for a
                50 MHz decay would overshoot the pre-decay point) *)
-            set d pre_decay.(i) "revert";
+            act.set d pre_decay.(i) "revert";
             cooldown.(i) <- revert_cooldown;
             (* the plunge branch ignores [cooldown], so any idle streak
                accumulated during the pending window would plunge the
@@ -90,7 +67,7 @@ let controller ?(params = default_params) ?sink () =
             idle_streak.(i) <- 0
           end
         end;
-        let util = s.Controller.avg_occupancy.(i) /. capacity d in
+        let util = Policy.utilization s d in
         if util < 0.02 then idle_streak.(i) <- idle_streak.(i) + 1
         else idle_streak.(i) <- 0;
         if prev_util.(i) >= 0.0 then begin
@@ -99,58 +76,31 @@ let controller ?(params = default_params) ?sink () =
             (* deep backlog: a phase change caught the domain far too
                slow — jump straight back to full speed. Any decay still
                under guard observation is superseded. *)
-            set d Freq.fmax_mhz "surge";
+            act.set d Freq.fmax_mhz "surge";
             pending_check.(i) <- 0
           end
           else if delta > params.attack_threshold || util > 0.45 then begin
-            set d (cur_freq.(i) + params.attack_step_mhz) "attack";
+            act.set d (act.freq d + params.attack_step_mhz) "attack";
             pending_check.(i) <- 0
           end
           else if idle_streak.(i) >= 2 then begin
             (* persistently idle: plunge without consulting the guard *)
-            set d (cur_freq.(i) - params.attack_step_mhz) "plunge";
+            act.set d (act.freq d - params.attack_step_mhz) "plunge";
             pending_check.(i) <- 0
           end
           else if
             util >= 0.02 && util < 0.20 && cooldown.(i) = 0
             && pending_check.(i) = 0
-            && cur_freq.(i) > Freq.fmin_mhz
+            && act.freq d > Freq.fmin_mhz
           then begin
-            pre_decay.(i) <- cur_freq.(i);
-            set d (cur_freq.(i) - params.decay_step_mhz) "decay";
+            pre_decay.(i) <- act.freq d;
+            act.set d (act.freq d - params.decay_step_mhz) "decay";
             pending_check.(i) <- 3;
             ipc_before.(i) <- ipc
           end
         end;
         prev_util.(i) <- util)
-      scaled_domains;
-    if !changed then begin
-      let setting =
-        Reconfig.make
-          ~front_end:Freq.fmax_mhz
-          ~integer:cur_freq.(Domain.index Domain.Integer)
-          ~floating:cur_freq.(Domain.index Domain.Floating)
-          ~memory:cur_freq.(Domain.index Domain.Memory)
-      in
-      (* One combined-target event per reacting interval, carrying the
-         full setting: the assertion layer checks these against the
-         legal frequency grid. The per-domain events above keep the
-         why; this one keeps the what. *)
-      (match sink with
-      | None -> ()
-      | Some snk ->
-          Mcd_obs.Sink.decision snk ~t_ps:now ~source:"on-line"
-            ~trigger:Mcd_obs.Sink.Sample ~setting ~detail:"interval target" ());
-      Some setting
-    end
-    else None
-  in
-  {
-    Controller.name = "on-line";
-    on_marker = (fun _ ~now:_ -> Controller.no_reaction);
-    on_sample;
-    sample_interval_cycles = params.interval_cycles;
-  }
+      Policy.scaled_domains
 
 (* Canonical parameter rendering: the exact strings (and order) the
    runner has always keyed on-line runs under, now owned by the policy
@@ -165,8 +115,32 @@ let params_id p =
   ]
 
 let policy ?label ?(params = default_params) () =
-  Policy.make ~name:"online" ?label
-    ~doc:"attack/decay occupancy controller (Semeraro et al.)"
-    ~params:(params_id params) ~feedback:true ~cooldown_intervals:0
-    (fun ?sink () -> controller ~params ?sink ())
-
+  let p =
+    Policy.feedback ~name:"online" ?label
+      ~doc:"attack/decay occupancy controller (Semeraro et al.)"
+      ~params:(params_id params) ~source
+      ~interval_cycles:params.interval_cycles ~cooldown_intervals:0
+      (rule params)
+  in
+  (* One combined-target event per reacting interval, carrying the full
+     setting: the assertion layer checks these against the legal
+     frequency grid. The per-domain events keep the why; this one keeps
+     the what. *)
+  let create ?sink () =
+    let ctl = p.Policy.create ?sink () in
+    match sink with
+    | None -> ctl
+    | Some snk ->
+        let on_sample s ~now =
+          let r = ctl.Controller.on_sample s ~now in
+          Option.iter
+            (fun setting ->
+              Mcd_obs.Sink.decision snk ~t_ps:now ~source
+                ~trigger:Mcd_obs.Sink.Sample ~setting ~detail:"interval target"
+                ())
+            r;
+          r
+        in
+        { ctl with on_sample }
+  in
+  { p with create }

@@ -28,18 +28,15 @@ type params = {
 
 val default_params : params
 
-val controller :
-  ?params:params -> ?sink:Mcd_obs.Sink.t -> unit -> Mcd_cpu.Controller.t
-(** Fresh controller (single-use: carries per-run state). With a
-    [sink], every frequency move is recorded as a [Decision] event
-    labelled with its cause (attack / decay / revert / plunge /
-    surge). *)
-
 val params_id : params -> string list
 (** Canonical ordered rendering of every knob — the [params] of this
     policy's cache-key fragment. *)
 
 val policy : ?label:string -> ?params:params -> unit -> Policy.t
 (** The controller as a first-class policy named ["online"] (key
-    identity {!params_id}; [label] defaults to ["online"]). Feedback:
-    always simulated exactly. *)
+    identity {!params_id}; [label] defaults to ["online"]); its
+    controller is named ["on-line"]. Feedback: always simulated exactly.
+    With a [sink], every frequency move is recorded as a [Decision]
+    event labelled with its cause (attack / decay / revert / plunge /
+    surge), and each reacting interval adds one ["interval target"]
+    event carrying the full setting. *)

@@ -1,7 +1,6 @@
 module Controller = Mcd_cpu.Controller
 module Domain = Mcd_domains.Domain
 module Freq = Mcd_domains.Freq
-module Reconfig = Mcd_domains.Reconfig
 module Ckey = Mcd_cache.Key
 
 type params = {
@@ -35,31 +34,9 @@ let params_id p =
 
 let compute_domains = [ Domain.Integer; Domain.Floating ]
 
-let controller ?(params = default_params) ?sink () =
-  let cur = Array.make Domain.count Freq.fmax_mhz in
+let rule params (act : Policy.actuator) =
   let smooth_mpki = ref nan in
-  let cooldown = Policy.Cooldown.create ~intervals:params.cooldown in
-  let on_sample (s : Controller.sample) ~now =
-    Policy.Cooldown.tick cooldown;
-    let changed = ref false in
-    let set d f' why =
-      let i = Domain.index d in
-      let f' = Freq.clamp f' in
-      if f' <> cur.(i) && Policy.Cooldown.ready cooldown i then begin
-        (match sink with
-        | None -> ()
-        | Some snk ->
-            Mcd_obs.Sink.decision snk ~t_ps:now ~source:"cache-aware"
-              ~trigger:Mcd_obs.Sink.Sample
-              ~detail:
-                (Printf.sprintf "%s %s %d->%d MHz" why (Domain.name d)
-                   cur.(i) f')
-              ());
-        cur.(i) <- f';
-        Policy.Cooldown.arm cooldown i;
-        changed := true
-      end
-    in
+  fun (s : Controller.sample) ->
     let kinsts = float_of_int (max 1 s.Controller.retired) /. 1000.0 in
     let raw_mpki = float_of_int s.Controller.l2_misses /. kinsts in
     (* smooth the miss rate: one interval of cold misses after a phase
@@ -77,7 +54,7 @@ let controller ?(params = default_params) ?sink () =
       if s.Controller.l1d_misses > 0 then (Freq.fmin_mhz + Freq.fmax_mhz) / 2
       else Freq.fmin_mhz
     in
-    set Domain.Memory
+    act.set Domain.Memory
       (max mem_floor
          (Freq.fmin_mhz
          + int_of_float
@@ -91,32 +68,17 @@ let controller ?(params = default_params) ?sink () =
        starving it would stretch the critical path. *)
     List.iter
       (fun d ->
-        let i = Domain.index d in
         let util = Policy.utilization s d in
-        if util > params.busy_util then set d Freq.fmax_mhz "busy"
+        if util > params.busy_util then act.set d Freq.fmax_mhz "busy"
         else if mpki >= params.l2_mpki_hi then
-          set d (cur.(i) - params.step_mhz) "mem-bound"
+          act.set d (act.freq d - params.step_mhz) "mem-bound"
         else if mpki <= params.l2_mpki_lo then
-          set d (cur.(i) + params.step_mhz) "compute-bound")
-      compute_domains;
-    if !changed then
-      Some
-        (Reconfig.make ~front_end:Freq.fmax_mhz
-           ~integer:cur.(Domain.index Domain.Integer)
-           ~floating:cur.(Domain.index Domain.Floating)
-           ~memory:cur.(Domain.index Domain.Memory))
-    else None
-  in
-  {
-    Controller.name = "cache-aware";
-    on_marker = (fun _ ~now:_ -> Controller.no_reaction);
-    on_sample;
-    sample_interval_cycles = params.interval_cycles;
-  }
+          act.set d (act.freq d + params.step_mhz) "compute-bound")
+      compute_domains
 
 let policy ?label ?(params = default_params) () =
-  Policy.make ~name:"cache-aware" ?label
+  Policy.feedback ~name:"cache-aware" ?label
     ~doc:"L2-miss-driven scaling: starved compute domains slow down"
-    ~params:(params_id params) ~feedback:true
-    ~cooldown_intervals:params.cooldown
-    (fun ?sink () -> controller ~params ?sink ())
+    ~params:(params_id params) ~source:"cache-aware"
+    ~interval_cycles:params.interval_cycles
+    ~cooldown_intervals:params.cooldown (rule params)

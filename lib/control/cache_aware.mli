@@ -25,10 +25,6 @@ type params = {
 
 val default_params : params
 
-val controller :
-  ?params:params -> ?sink:Mcd_obs.Sink.t -> unit -> Mcd_cpu.Controller.t
-(** Fresh single-use controller; prefer {!policy}. *)
-
 val params_id : params -> string list
 
 val policy : ?label:string -> ?params:params -> unit -> Policy.t

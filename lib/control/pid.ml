@@ -1,7 +1,5 @@
-module Controller = Mcd_cpu.Controller
 module Domain = Mcd_domains.Domain
 module Freq = Mcd_domains.Freq
-module Reconfig = Mcd_domains.Reconfig
 module Ckey = Mcd_cache.Key
 
 type params = {
@@ -43,17 +41,13 @@ let params_id p =
 
 let span = float_of_int (Freq.fmax_mhz - Freq.fmin_mhz)
 
-let controller ?(params = default_params) ?sink () =
-  let cur = Array.make Domain.count Freq.fmax_mhz in
-  (* the continuous command each PID loop integrates on; [cur] is its
-     snap to the legal frequency grid *)
+let rule params (act : Policy.actuator) =
+  (* the continuous command each PID loop integrates on; the current
+     frequency is its snap to the legal frequency grid *)
   let cmd = Array.make Domain.count (float_of_int Freq.fmax_mhz) in
   let integral = Array.make Domain.count 0.0 in
   let prev_err = Array.make Domain.count nan in
-  let cooldown = Policy.Cooldown.create ~intervals:params.cooldown in
-  let on_sample (s : Controller.sample) ~now =
-    Policy.Cooldown.tick cooldown;
-    let changed = ref false in
+  fun s ->
     List.iter
       (fun d ->
         let i = Domain.index d in
@@ -76,40 +70,14 @@ let controller ?(params = default_params) ?sink () =
           Float.max
             (float_of_int Freq.fmin_mhz)
             (Float.min (float_of_int Freq.fmax_mhz) (cmd.(i) +. delta));
-        let snapped = Freq.clamp (int_of_float (Float.round cmd.(i))) in
-        if snapped <> cur.(i) && Policy.Cooldown.ready cooldown i then begin
-          (match sink with
-          | None -> ()
-          | Some snk ->
-              Mcd_obs.Sink.decision snk ~t_ps:now ~source:"pid"
-                ~trigger:Mcd_obs.Sink.Sample
-                ~detail:
-                  (Printf.sprintf "err %+.3f %s %d->%d MHz" err
-                     (Domain.name d) cur.(i) snapped)
-                ());
-          cur.(i) <- snapped;
-          Policy.Cooldown.arm cooldown i;
-          changed := true
-        end)
-      Policy.scaled_domains;
-    if !changed then
-      Some
-        (Reconfig.make ~front_end:Freq.fmax_mhz
-           ~integer:cur.(Domain.index Domain.Integer)
-           ~floating:cur.(Domain.index Domain.Floating)
-           ~memory:cur.(Domain.index Domain.Memory))
-    else None
-  in
-  {
-    Controller.name = "pid";
-    on_marker = (fun _ ~now:_ -> Controller.no_reaction);
-    on_sample;
-    sample_interval_cycles = params.interval_cycles;
-  }
+        act.set d
+          (int_of_float (Float.round cmd.(i)))
+          (Printf.sprintf "err %+.3f" err))
+      Policy.scaled_domains
 
 let policy ?label ?(params = default_params) () =
-  Policy.make ~name:"pid" ?label
+  Policy.feedback ~name:"pid" ?label
     ~doc:"per-domain PID loop on a utilization setpoint"
-    ~params:(params_id params) ~feedback:true
-    ~cooldown_intervals:params.cooldown
-    (fun ?sink () -> controller ~params ?sink ())
+    ~params:(params_id params) ~source:"pid"
+    ~interval_cycles:params.interval_cycles
+    ~cooldown_intervals:params.cooldown (rule params)

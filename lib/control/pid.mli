@@ -6,8 +6,8 @@
     derivative terms chase phase changes, the (clamped) integral term
     removes steady-state error, and the summed correction moves a
     continuous per-domain frequency command that is snapped to the
-    legal grid. Writes are rate-limited by a per-domain
-    {!Policy.Cooldown} so the loop cannot thrash the reconfiguration
+    legal grid. Writes are rate-limited by a per-domain cooldown
+    ({!Policy.feedback}) so the loop cannot thrash the reconfiguration
     register. *)
 
 type params = {
@@ -21,10 +21,6 @@ type params = {
 }
 
 val default_params : params
-
-val controller :
-  ?params:params -> ?sink:Mcd_obs.Sink.t -> unit -> Mcd_cpu.Controller.t
-(** Fresh single-use controller; prefer {!policy}. *)
 
 val params_id : params -> string list
 

@@ -8,7 +8,6 @@ module Ckey = Mcd_cache.Key
 
 let baseline =
   Policy.make ~name:"baseline" ~doc:"all domains at full speed, no reactions"
-    ~feedback:false
     (fun ?sink:_ () -> Controller.nop)
 
 (* --- fixed ------------------------------------------------------------- *)
@@ -24,7 +23,6 @@ let fixed ?label setting =
   in
   Policy.make ~name:"fixed" ?label
     ~doc:"one reconfiguration write at the first marker" ~params
-    ~feedback:false
     (fun ?sink:_ () ->
       let armed = ref true in
       {
@@ -59,13 +57,9 @@ let util_prop_params_id p =
 
 (* The schedsim PowerAware formula, f = fmin + (fmax - fmin) * U, on the
    smoothed per-domain queue utilisation. *)
-let util_prop_controller ?(params = util_prop_default) ?sink () =
-  let cur = Array.make Domain.count Freq.fmax_mhz in
+let util_prop_rule params (act : Policy.actuator) =
   let smooth = Array.make Domain.count nan in
-  let cooldown = Policy.Cooldown.create ~intervals:params.cooldown in
-  let on_sample (s : Controller.sample) ~now =
-    Policy.Cooldown.tick cooldown;
-    let changed = ref false in
+  fun s ->
     List.iter
       (fun d ->
         let i = Domain.index d in
@@ -75,48 +69,18 @@ let util_prop_controller ?(params = util_prop_default) ?sink () =
           else (params.ewma *. raw) +. ((1.0 -. params.ewma) *. smooth.(i))
         in
         smooth.(i) <- u;
-        let f =
-          Freq.clamp
-            (Freq.fmin_mhz
-            + int_of_float (u *. float_of_int (Freq.fmax_mhz - Freq.fmin_mhz))
-            )
-        in
-        if f <> cur.(i) && Policy.Cooldown.ready cooldown i then begin
-          (match sink with
-          | None -> ()
-          | Some snk ->
-              Mcd_obs.Sink.decision snk ~t_ps:now ~source:"util-prop"
-                ~trigger:Mcd_obs.Sink.Sample
-                ~detail:
-                  (Printf.sprintf "U %.2f %s %d->%d MHz" u (Domain.name d)
-                     cur.(i) f)
-                ());
-          cur.(i) <- f;
-          Policy.Cooldown.arm cooldown i;
-          changed := true
-        end)
-      Policy.scaled_domains;
-    if !changed then
-      Some
-        (Reconfig.make ~front_end:Freq.fmax_mhz
-           ~integer:cur.(Domain.index Domain.Integer)
-           ~floating:cur.(Domain.index Domain.Floating)
-           ~memory:cur.(Domain.index Domain.Memory))
-    else None
-  in
-  {
-    Controller.name = "util-prop";
-    on_marker = (fun _ ~now:_ -> Controller.no_reaction);
-    on_sample;
-    sample_interval_cycles = params.interval_cycles;
-  }
+        act.set d
+          (Freq.fmin_mhz
+          + int_of_float (u *. float_of_int (Freq.fmax_mhz - Freq.fmin_mhz)))
+          (Printf.sprintf "U %.2f" u))
+      Policy.scaled_domains
 
 let util_prop ?label ?(params = util_prop_default) () =
-  Policy.make ~name:"util-prop" ?label
+  Policy.feedback ~name:"util-prop" ?label
     ~doc:"f = fmin + (fmax - fmin) * U per domain"
-    ~params:(util_prop_params_id params) ~feedback:true
-    ~cooldown_intervals:params.cooldown
-    (fun ?sink () -> util_prop_controller ~params ?sink ())
+    ~params:(util_prop_params_id params) ~source:"util-prop"
+    ~interval_cycles:params.interval_cycles
+    ~cooldown_intervals:params.cooldown (util_prop_rule params)
 
 (* --- attack/decay re-exports ------------------------------------------- *)
 

@@ -24,11 +24,6 @@ type util_prop_params = {
 val util_prop_default : util_prop_params
 val util_prop_params_id : util_prop_params -> string list
 
-val util_prop_controller :
-  ?params:util_prop_params -> ?sink:Mcd_obs.Sink.t -> unit ->
-  Mcd_cpu.Controller.t
-(** Fresh single-use controller; prefer {!util_prop}. *)
-
 val util_prop : ?label:string -> ?params:util_prop_params -> unit -> Policy.t
 (** [f = f_min + (f_max - f_min) * U] on the smoothed per-domain queue
     utilisation. Named ["util-prop"]; feedback. *)
@@ -62,7 +57,8 @@ val adversaries : unit -> Policy.t list
     ({!Mcd_experiments.Campaign}) hunts counterexamples against. *)
 
 val by_name : string -> Policy.t option
-(** Look a policy up by its registry label (see {!Policy.id}). *)
+(** Look a policy up by its registry label (the [label] field of
+    {!Policy.t}). *)
 
 val names : unit -> string list
 (** Registry labels, in {!all} order. *)

@@ -35,9 +35,9 @@ type t = {
   feedback : bool;
       (** cycle-driven feedback loop: simulate exactly, never sampled *)
   cooldown_intervals : int;
-      (** declared minimum number of sample intervals between two
-          frequency changes of the same domain (0 = unconstrained).
-          Tested as a contract by the zoo property suite. *)
+      (** minimum number of sample intervals between two frequency
+          changes of the same domain (0 = unconstrained); for a
+          {!feedback} policy, the value its controller enforces *)
   create : ?sink:Mcd_obs.Sink.t -> unit -> Mcd_cpu.Controller.t;
       (** build a fresh single-use controller (fresh mutable state) *)
 }
@@ -47,21 +47,16 @@ val make :
   ?label:string ->
   ?doc:string ->
   ?params:string list ->
-  ?feedback:bool ->
-  ?cooldown_intervals:int ->
   (?sink:Mcd_obs.Sink.t -> unit -> Mcd_cpu.Controller.t) ->
   t
-(** [feedback] defaults to [true] (the safe direction: exact
-    simulation), [params] to [[]], [label] to [name]. *)
+(** A feed-forward policy ([feedback = false], [cooldown_intervals = 0]):
+    it follows the global simulation mode. [params] defaults to [[]],
+    [label] to [name]. Sample-driven loops use {!feedback}. *)
 
 val key_fragment : t -> (string * string) list
 (** {!Mcd_cache.Key.policy_fragment} over [name]/[params] — the one
     rendering the runner's cache keys and any request-coalescing
     identity must share. *)
-
-val id : t -> string
-(** [label] plus a short digest of [params]: a compact process-local
-    identity for memo tables and log lines (not a cache key). *)
 
 val scaled_domains : Mcd_domains.Domain.t list
 (** The three back-end domains every zoo policy scales; the front end
@@ -75,24 +70,35 @@ val queue_capacity : Mcd_domains.Domain.t -> float
 val utilization : Mcd_cpu.Controller.sample -> Mcd_domains.Domain.t -> float
 (** [avg_occupancy / queue_capacity] for one domain. *)
 
-(** Per-domain cooldown timers, in units of sample intervals — the
-    shared helper behind every zoo policy's [cooldown_intervals]
-    contract. Call {!tick} once at the top of each [on_sample], gate
-    frequency changes on {!ready}, and {!arm} the domain after a
-    change. *)
-module Cooldown : sig
-  type timers
+(** {1 Sample-driven feedback policies} *)
 
-  val create : intervals:int -> timers
-  (** One timer per {!Mcd_domains.Domain.index}, all expired. *)
+type actuator = {
+  freq : Mcd_domains.Domain.t -> int;
+      (** the domain's current frequency; every domain starts at fmax *)
+  set : Mcd_domains.Domain.t -> int -> string -> unit;
+      (** [set d f why] moves [d] to [Freq.clamp f]. It does nothing when
+          that is [d]'s current frequency or [d]'s cooldown is still
+          running; otherwise it records a [Decision] event with detail
+          ["<why> <domain> <old>-><new> MHz"] and starts the cooldown. *)
+}
 
-  val tick : timers -> unit
-  (** Advance one sample interval (decrement every armed timer). *)
-
-  val ready : timers -> int -> bool
-  (** [ready t i]: domain [i] may change frequency this interval. *)
-
-  val arm : timers -> int -> unit
-  (** Start domain [i]'s cooldown ([intervals] ticks until ready;
-      with [intervals = 0] the domain is ready immediately). *)
-end
+val feedback :
+  name:string ->
+  ?label:string ->
+  doc:string ->
+  params:string list ->
+  source:string ->
+  interval_cycles:int ->
+  cooldown_intervals:int ->
+  (actuator -> Mcd_cpu.Controller.sample -> unit) ->
+  t
+(** A sample-driven feedback policy ([feedback = true]) that keeps only
+    its decision rule. [rule act] is applied once per [create]: it
+    allocates the run's rule state and returns the per-sample decision,
+    which reads and moves frequencies through [act]. The controller,
+    named [source] (also the source of its decision events), samples
+    every [interval_cycles] front-end cycles and never reacts to
+    markers. Each sample first advances every domain's cooldown timer by
+    one interval, then runs the decision; if any domain moved, the new
+    setting (front end at fmax) is written. The timers enforce
+    [cooldown_intervals] — the same value the policy declares. *)

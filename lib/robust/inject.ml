@@ -210,10 +210,6 @@ let crash_compute ?(after_s = 0.0) () _req =
   if after_s > 0.0 then Unix.sleepf after_s;
   Unix._exit 9
 
-let delay_compute ~rng ~max_delay_s compute req =
-  Unix.sleepf (Rng.float rng max_delay_s);
-  compute req
-
 (* A crash mid-append leaves a prefix of the record on disk; tearing
    cuts a random short tail so recovery must classify it as torn (good
    prefix kept, no typed corruption). *)

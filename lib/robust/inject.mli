@@ -108,11 +108,6 @@ val crash_compute : ?after_s:float -> unit -> 'a -> 'b
     whole process with [Unix._exit 9] — [Worker_crash]. Never
     returns. *)
 
-val delay_compute :
-  rng:Mcd_util.Rng.t -> max_delay_s:float -> ('a -> 'b) -> 'a -> 'b
-(** Sleep a uniform draw from [0, max_delay_s) before computing —
-    [Delayed_completion]. *)
-
 val tear_file : rng:Mcd_util.Rng.t -> path:string -> unit
 (** Cut 1–80 bytes off the file's tail in place — [Torn_journal], a
     crash mid-append. No-op on an empty file. *)

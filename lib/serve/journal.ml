@@ -35,50 +35,25 @@ let path t = t.path
 
 let ( let* ) = Result.bind
 
-let kv k v = Printf.sprintf "%s=%s" k (Protocol.encode_value v)
-let kvi k v = Printf.sprintf "%s=%d" k v
+let kv = Protocol.kv
+let kvi = Protocol.kvi
 
+(* The submit command's tokens, with the job's id, client and digest
+   spliced in: id client pri digest workload policy context slowdown. *)
 let render_entry (e : entry) =
   String.concat " "
-    [
-      kvi "id" e.id;
-      kv "client" e.client;
-      kv "pri" (Protocol.priority_name e.priority);
-      kv "digest" e.digest;
-      kv "workload" e.request.Protocol.workload;
-      kv "policy" (Protocol.policy_name e.request.Protocol.policy);
-      kv "context" e.request.Protocol.context;
-      kv "slowdown" (Mcd_cache.Key.float_param e.request.Protocol.slowdown_pct);
-    ]
+    (kvi "id" e.id :: kv "client" e.client
+    :: kv "pri" (Protocol.priority_name e.priority)
+    :: kv "digest" e.digest
+    :: Protocol.request_tokens e.request)
 
 let parse_entry line =
   let fs = Protocol.fields (Protocol.split line) in
   let* id = Protocol.int_field "id" fs in
   let* client = Protocol.field "client" fs in
-  let* pri = Protocol.field "pri" fs in
-  let* priority =
-    match Protocol.priority_of_name pri with
-    | Some p -> Ok p
-    | None -> Result.Error (Printf.sprintf "unknown priority %S" pri)
-  in
   let* digest = Protocol.field "digest" fs in
-  let* workload = Protocol.field "workload" fs in
-  let* pol = Protocol.field "policy" fs in
-  let* policy =
-    match Protocol.policy_of_name pol with
-    | Some p -> Ok p
-    | None -> Result.Error (Printf.sprintf "unknown policy %S" pol)
-  in
-  let* context = Protocol.field "context" fs in
-  let* slowdown_pct = Protocol.float_field "slowdown" fs in
-  Ok
-    {
-      id;
-      client;
-      priority;
-      digest;
-      request = { Protocol.workload; policy; context; slowdown_pct };
-    }
+  let* priority, request = Protocol.submit_of_fields fs in
+  Ok { id; client; priority; digest; request }
 
 (* --- record framing ----------------------------------------------------- *)
 

@@ -6,25 +6,8 @@ let version = 1
 
 (* Tokens are space-separated, messages newline-terminated, so values
    percent-encode exactly those two characters plus '%' itself — the
-   same escaping Mcd_cache.Key uses for canonical key lines. *)
-let encode_value v =
-  let plain =
-    String.for_all (fun c -> c <> ' ' && c <> '%' && c <> '\n') v
-  in
-  if plain then v
-  else begin
-    let buf = Buffer.create (String.length v + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | ' ' -> Buffer.add_string buf "%20"
-        | '%' -> Buffer.add_string buf "%25"
-        | '\n' -> Buffer.add_string buf "%0a"
-        | c -> Buffer.add_char buf c)
-      v;
-    Buffer.contents buf
-  end
-
+   escaping of canonical key lines, Mcd_cache.Key.encode_value, which
+   [kv] renders with and this inverts. *)
 let decode_value v =
   if not (String.contains v '%') then Ok v
   else begin
@@ -124,7 +107,7 @@ type reply =
 
 (* --- rendering --------------------------------------------------------- *)
 
-let kv k v = Printf.sprintf "%s=%s" k (encode_value v)
+let kv k v = Printf.sprintf "%s=%s" k (Mcd_cache.Key.encode_value v)
 let kvi k v = Printf.sprintf "%s=%d" k v
 
 (* The seq token rides immediately after the verb. It is optional on
@@ -144,18 +127,19 @@ let with_seq seq line =
               String.sub line i (String.length line - i);
             ])
 
+let request_tokens r =
+  [
+    kv "workload" r.workload;
+    kv "policy" (policy_name r.policy);
+    kv "context" r.context;
+    kv "slowdown" (Mcd_cache.Key.float_param r.slowdown_pct);
+  ]
+
 let render_command_body = function
   | Ping -> "ping"
-  | Submit { priority; request = r } ->
+  | Submit { priority; request } ->
       String.concat " "
-        [
-          "submit";
-          kv "pri" (priority_name priority);
-          kv "workload" r.workload;
-          kv "policy" (policy_name r.policy);
-          kv "context" r.context;
-          kv "slowdown" (Mcd_cache.Key.float_param r.slowdown_pct);
-        ]
+        ("submit" :: kv "pri" (priority_name priority) :: request_tokens request)
   | Status id -> "status " ^ kvi "id" id
   | Wait id -> "wait " ^ kvi "id" id
   | Result id -> "result " ^ kvi "id" id
@@ -259,6 +243,24 @@ let seq_field fs =
       let* s = int_field "seq" fs in
       Ok (Some s)
 
+let submit_of_fields fs =
+  let* pri = field "pri" fs in
+  let* priority =
+    match priority_of_name pri with
+    | Some p -> Ok p
+    | None -> Error (Printf.sprintf "unknown priority %S" pri)
+  in
+  let* workload = field "workload" fs in
+  let* pol = field "policy" fs in
+  let* policy =
+    match policy_of_name pol with
+    | Some p -> Ok p
+    | None -> Error (Printf.sprintf "unknown policy %S" pol)
+  in
+  let* context = field "context" fs in
+  let* slowdown_pct = float_field "slowdown" fs in
+  Ok (priority, { workload; policy; context; slowdown_pct })
+
 let parse_command line =
   match split line with
   | [] -> Error "empty command"
@@ -281,22 +283,8 @@ let parse_command line =
           let* id = int_field "id" fs in
           ok (Result id)
       | "submit" ->
-          let* pri = field "pri" fs in
-          let* priority =
-            match priority_of_name pri with
-            | Some p -> Ok p
-            | None -> Error (Printf.sprintf "unknown priority %S" pri)
-          in
-          let* workload = field "workload" fs in
-          let* pol = field "policy" fs in
-          let* policy =
-            match policy_of_name pol with
-            | Some p -> Ok p
-            | None -> Error (Printf.sprintf "unknown policy %S" pol)
-          in
-          let* context = field "context" fs in
-          let* slowdown_pct = float_field "slowdown" fs in
-          ok (Submit { priority; request = { workload; policy; context; slowdown_pct } })
+          let* priority, request = submit_of_fields fs in
+          ok (Submit { priority; request })
       | verb -> Error (Printf.sprintf "unknown command %S" verb))
 
 let parse_state fs =

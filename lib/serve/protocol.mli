@@ -173,10 +173,20 @@ end
     job journal's record bodies speak the same escaped grammar as the
     wire. *)
 
-val encode_value : string -> string
-(** Percent-encode space, ['%'] and newline. *)
+val kv : string -> string -> string
+(** [kv k v] is the token [k=v], [v] percent-encoded
+    ({!Mcd_cache.Key.encode_value}). *)
 
-val decode_value : string -> (string, string) result
+val kvi : string -> int -> string
+(** [kvi k n] is the token [k=n]. *)
+
+val request_tokens : request -> string list
+(** The submit command's [workload], [policy], [context] and [slowdown]
+    tokens, in wire order. *)
+
+val submit_of_fields :
+  (string * string) list -> (priority * request, string) result
+(** Parse the submit command's [pri] and {!request_tokens} fields. *)
 
 val split : string -> string list
 (** Tokens of a line (runs of spaces collapse). *)

@@ -31,5 +31,10 @@ val segments : t -> (int * Mcd_cpu.Probe.event array list) list
     at least once, in tree order. Each segment's events are sorted by
     instruction sequence number and stage. *)
 
+val sort_events : Mcd_cpu.Probe.event array -> Mcd_cpu.Probe.event array
+(** Sort in place by instruction sequence number, then pipeline stage
+    (fetch, dispatch, execute/memory, retire), and return the array —
+    the one event order every trace consumer shares. *)
+
 val intervals_seen : t -> int
 (** Total attribution intervals opened (including discarded ones). *)

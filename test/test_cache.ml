@@ -289,6 +289,26 @@ let test_store_unwritable_degrades () =
   Alcotest.(check string) "still recomputes" "computed anyway" (cached ());
   Alcotest.(check int) "nothing stored" 0 (Store.stats store).Store.stores
 
+(* An uncreatable store directory degrades the same way: [create] under
+   a regular file (ENOTDIR, which holds even for root) must log and
+   return a recompute-only store, not raise. *)
+let test_store_uncreatable_degrades () =
+  with_temp_store @@ fun store ->
+  let file = Filename.concat (Store.dir store) "plain-file" in
+  Out_channel.with_open_bin file (fun oc ->
+      Out_channel.output_string oc "not a directory");
+  let store = Store.create ~dir:(Filename.concat file "sub") in
+  let key = Key.make ~kind:"test" ~parts:[ ("n", "uncreatable") ] in
+  let cached () =
+    Store.cached store ~key ~encode:Fun.id
+      ~decode:(fun s -> Ok s)
+      (fun () -> "computed anyway")
+  in
+  Alcotest.(check string) "cold" "computed anyway" (cached ());
+  Alcotest.(check string) "still recomputes" "computed anyway" (cached ());
+  Alcotest.(check int) "nothing stored" 0 (Store.stats store).Store.stores;
+  Alcotest.(check (pair int int)) "no objects" (0, 0) (Store.disk_usage store)
+
 let test_store_detects_wrong_key () =
   (* An object whose embedded canonical key disagrees with the lookup
      key (digest collision, or a corrupted shard layout) must read as
@@ -394,6 +414,9 @@ let suite =
       `Quick,
       test_store_corrupt_recomputes_and_heals );
     ("unwritable store degrades to recompute", `Quick, test_store_unwritable_degrades);
+    ( "uncreatable store degrades to recompute",
+      `Quick,
+      test_store_uncreatable_degrades );
     ("wrong embedded key reads as corrupt", `Quick, test_store_detects_wrong_key);
     ("concurrent writers agree", `Quick, test_store_concurrent_writers);
     ("gc clears the store", `Quick, test_store_gc);

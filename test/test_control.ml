@@ -41,7 +41,7 @@ let feed ctl samples =
   !last
 
 let test_idle_fp_plunges () =
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   let samples =
     List.init 12 (fun _ -> sample ~int_occ:8.0 ~fp_occ:0.0 ~mem_occ:10.0 ())
   in
@@ -52,7 +52,7 @@ let test_idle_fp_plunges () =
   | None -> Alcotest.fail "controller never reconfigured"
 
 let test_backlogged_domain_stays_fast () =
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   let samples =
     List.init 12 (fun _ -> sample ~int_occ:14.0 ~fp_occ:0.0 ~mem_occ:5.0 ())
   in
@@ -63,7 +63,7 @@ let test_backlogged_domain_stays_fast () =
   | None -> Alcotest.fail "controller never reconfigured"
 
 let test_low_util_decays () =
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   (* integer lightly used and IPC steady: should drift downward *)
   let samples =
     List.init 30 (fun _ -> sample ~int_occ:1.5 ~fp_occ:6.0 ~mem_occ:10.0 ())
@@ -75,7 +75,7 @@ let test_low_util_decays () =
   | None -> Alcotest.fail "controller never reconfigured"
 
 let test_guard_reverts_on_ipc_drop () =
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   (* run stable, then decay happens; afterwards IPC collapses: the guard
      must push the frequency back up *)
   let stable =
@@ -104,7 +104,7 @@ let test_guard_revert_is_exact () =
      by 100 MHz. Drive the integer domain down to 700 MHz with two idle
      plunges, trigger one decay to 650, then collapse the IPC so the
      guard fires: it must restore exactly 700 MHz, not 800. *)
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   (* three idle samples: prev_util primes on the first, the next two
      plunge 1000 -> 850 -> 700 *)
   let idle =
@@ -128,7 +128,7 @@ let test_guard_revert_is_exact () =
   | None -> Alcotest.fail "guard never fired"
 
 let test_attack_on_rising_util () =
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   (* establish low utilisation, decay a bit, then a surge *)
   let low =
     List.init 10 (fun _ -> sample ~int_occ:1.0 ~fp_occ:2.0 ~mem_occ:5.0 ())
@@ -142,7 +142,7 @@ let test_attack_on_rising_util () =
   | None -> Alcotest.fail "no reaction to surge"
 
 let test_front_end_never_scaled () =
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   let samples =
     List.init 20 (fun _ -> sample ~int_occ:0.0 ~fp_occ:0.0 ~mem_occ:0.0 ())
   in
@@ -153,7 +153,7 @@ let test_front_end_never_scaled () =
   | None -> Alcotest.fail "controller never reconfigured"
 
 let test_markers_ignored () =
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   let r =
     ctl.Controller.on_marker (Walker.Enter_func { fid = 0; site_id = None })
       ~now:0
@@ -162,7 +162,7 @@ let test_markers_ignored () =
 
 let test_params_interval_exposed () =
   let p = { AD.default_params with AD.interval_cycles = 1234 } in
-  let ctl = AD.controller ~params:p () in
+  let ctl = (AD.policy ~params:p ()).Policy.create () in
   Alcotest.(check int) "interval" 1234 ctl.Controller.sample_interval_cycles
 
 let test_revert_clears_idle_streak () =
@@ -174,7 +174,7 @@ let test_revert_clears_idle_streak () =
      (pending = 3), one dead-zone sample, one idle sample (streak 1),
      then an idle sample with collapsed IPC — the guard reverts to the
      pre-decay 1000 MHz and, with the streak cleared, must NOT plunge. *)
-  let ctl = AD.controller () in
+  let ctl = (AD.policy ()).Policy.create () in
   let s ?(retired = 6_000) int_occ =
     sample ~retired ~int_occ ~fp_occ:6.0 ~mem_occ:20.0 ()
   in
@@ -306,6 +306,79 @@ let prop_zoo_settings_legal =
                stream))
         (Policies.all ()))
 
+(* Zoo golden: every registry policy's traced run on adpcm decode, pinned
+   as MD5s of the run's [Metrics.encode] bytes and of its decision-event
+   stream (time, source, detail, setting), plus the dropped-event count.
+   Any change to a controller's decisions, its event wording or its
+   per-run state shows up here. *)
+let zoo_golden =
+  [
+    ( "baseline",
+      "3ca077be7bedfa249471d58d71cb3b10",
+      "d41d8cd98f00b204e9800998ecf8427e",
+      170859 );
+    ( "online",
+      "c46615d05f8766f214c0ae8929e0a5a6",
+      "e8bd4086bf861c376cbf29547aa6e7ea",
+      158652 );
+    ( "online-eager",
+      "dd41a7bf8d78ff225008ac8aad373be2",
+      "1d353e391eab778931962f58a0ca97be",
+      154426 );
+    ( "pid",
+      "84f0d32a268c1336a245003c74b9663a",
+      "8c4c78d1451e899897a195ffd84bcfa4",
+      145203 );
+    ( "cache-aware",
+      "09f157e4a01f7ec5e51db0c84cc6b5db",
+      "f0491d5854763a0ba5489d220b62f416",
+      145042 );
+    ( "util-prop",
+      "f68cdd0cd295f31fdf5cd0678dab966a",
+      "478b07874701934bd219e9f4b1434207",
+      131077 );
+    ( "fixed-750",
+      "f169b39a21a2719922611b3cae6e3075",
+      "aec471b27767721c767ff44e0e4b2d35",
+      152966 );
+  ]
+
+let render_decisions events =
+  let b = Buffer.create 4096 in
+  List.iter
+    (function
+      | Mcd_obs.Sink.Decision { t_ps; source; setting; detail; _ } ->
+          Printf.bprintf b "%d|%s|%s|%s\n" t_ps source detail
+            (match setting with
+            | None -> "-"
+            | Some a ->
+                String.concat "," (Array.to_list (Array.map string_of_int a)))
+      | _ -> ())
+    events;
+  Buffer.contents b
+
+let test_zoo_golden () =
+  let module Runner = Mcd_experiments.Runner in
+  let module Sink = Mcd_obs.Sink in
+  let w = Mcd_workloads.Mediabench.adpcm_decode in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check (list string))
+    "registry order"
+    (List.map (fun (l, _, _, _) -> l) zoo_golden)
+    (Policies.names ());
+  List.iter
+    (fun (label, run_md5, events_md5, dropped) ->
+      let p = Option.get (Policies.by_name label) in
+      let sink = Sink.create ~domains:Domain.count () in
+      let run = Runner.run ~sink (Runner.Policy p) w in
+      Alcotest.(check (triple string string int))
+        (label ^ ": run, decisions, dropped")
+        (run_md5, events_md5, dropped)
+        ( md5 (Mcd_power.Metrics.encode run),
+          md5 (render_decisions (Sink.events sink)),
+          Sink.dropped_events sink ))
+    zoo_golden
+
 let suite =
   [
     ("idle fp plunges", `Quick, test_idle_fp_plunges);
@@ -327,5 +400,6 @@ let suite =
     ( "same name, different params, distinct fragments",
       `Quick,
       test_same_name_params_distinct_fragments );
+    ("zoo golden on adpcm decode", `Quick, test_zoo_golden);
     qcheck prop_zoo_settings_legal;
   ]
