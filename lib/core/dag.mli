@@ -20,20 +20,25 @@
 
     Event times come from the full-speed profiling run, so edge slack —
     the gap between a producer's end and a consumer's start — reflects
-    real scheduling slack in the machine. *)
+    real scheduling slack in the machine.
 
-type event = {
-  id : int;
-  seq : int;  (** owning dynamic instruction *)
-  domain : Mcd_domains.Domain.t;
-  start : float;  (** ps, from the profiling run *)
-  duration : float;  (** ps, at full frequency *)
-}
+    The layout is flat: event ids index parallel arrays (in the input's
+    (seq, stage) order), and the adjacency is in compressed sparse row
+    form — the successors of event [i] are
+    [succ.(succ_off.(i)) .. succ.(succ_off.(i + 1) - 1)], in the order
+    the dependences were discovered, and likewise for predecessors. *)
 
 type t = {
-  events : event array;  (** indexed by [id], in (seq, stage) order *)
-  succs : int array array;
-  preds : int array array;
+  start : float array;  (** ps, from the profiling run *)
+  duration : float array;  (** ps, at full frequency *)
+  domain : int array;  (** {!Mcd_domains.Domain.index} of each event *)
+  succ_off : int array;  (** length [size + 1] *)
+  succ : int array;
+  pred_off : int array;  (** length [size + 1] *)
+  pred : int array;
+  order : int array;
+      (** event ids sorted by (start, id): the order in which the
+          kernels sweep the events *)
   t_min : float;  (** earliest event start (segment source bound) *)
   t_max : float;  (** latest event end (segment sink bound) *)
 }
@@ -55,17 +60,18 @@ val slack : t -> int -> float
 
 val validate : t -> unit
 (** Check DAG invariants (edges point forward in time up to a small
-    tolerance, ids consistent). Raises [Invalid_argument] on violation;
-    used by tests. *)
-
-val longest_path_signature : t -> slow:(Mcd_domains.Domain.t -> float) -> float array
-(** Composition of the longest path when every event in domain [d] is
-    stretched by [slow d] (>= 1): entry [Mcd_domains.Domain.index d] is
-    the total {e unstretched} duration of path events in domain [d].
-    Used to build the compact path model that validates a candidate
-    setting's slowdown (the paper's "delay calculation"). *)
+    tolerance, consistent adjacency, [order] sorted). Raises
+    [Invalid_argument] on violation; used by tests. *)
 
 val path_signatures : t -> Path_model.segment
-(** Signatures of the binding paths under a standard probe set (full
-    speed, each domain slowed alone, all slowed), packaged with the
-    full-speed critical-path length. *)
+(** Signatures of the binding paths under a standard probe set, packaged
+    with the full-speed critical-path length. The probes stretch every
+    event in domain [d] by a factor: 1 everywhere, 4 everywhere, then 4
+    for each domain of {!Mcd_domains.Domain.all} alone (1 elsewhere) —
+    six signatures, in that order. A signature is the composition of
+    the longest path under its probe: entry [Domain.index d] is the
+    total {e unstretched} scaling time of path events in domain [d],
+    the last entry the
+    frequency-independent remainder. All six probes share one traversal
+    of the DAG. Used to build the compact path model that validates a
+    candidate setting's slowdown (the paper's "delay calculation"). *)

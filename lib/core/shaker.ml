@@ -17,86 +17,79 @@ let fmax = float_of_int Freq.fmax_mhz
 let power_at ~p0 ~f = p0 *. Freq.energy_scale f *. (f /. fmax)
 
 let freq_of ~orig ~dur = fmax *. orig /. dur
-let dur_at ~orig ~f = orig *. fmax /. f
 
-(* Lowest step frequency reachable for an event given available slack
-   and the power threshold: step down while power still exceeds the
-   threshold and the extra duration fits in the slack. *)
-let target_freq ~p0 ~orig ~dur ~slack ~threshold =
-  let cur_f = freq_of ~orig ~dur in
-  let rec go best idx =
-    if idx < 0 then best
-    else
-      let f = float_of_int (Freq.of_index idx) in
-      if f >= cur_f then go best (idx - 1)
-      else if power_at ~p0 ~f:best <= threshold then best
-      else
-        let extra = dur_at ~orig ~f -. dur in
-        if extra <= slack +. 1e-9 then go f (idx - 1) else best
+(* The frequency steps in MHz, and [step_power.(d * Freq.num_steps +
+   idx)], {!power_at} of domain [d] at step [idx]: the shaker never
+   evaluates the voltage model at a step. *)
+let step_mhz = Array.init Freq.num_steps (fun idx -> float_of_int (Freq.of_index idx))
+
+let step_power =
+  Array.init (Domain.count * Freq.num_steps) (fun k ->
+      power_at
+        ~p0:(Domain.relative_power (Domain.of_index (k / Freq.num_steps)))
+        ~f:step_mhz.(k mod Freq.num_steps))
+
+(* The step an event running at [f] MHz sustains: the highest step at or
+   below [f] (with a little rounding slack), the lowest step at worst. *)
+let snap_down f =
+  let rec go idx =
+    if idx <= 0 then 0
+    else if step_mhz.(idx) <= f +. 1e-6 then idx
+    else go (idx - 1)
   in
-  go cur_f (Freq.num_steps - 1)
+  go (Freq.num_steps - 1)
+
+(* [Float.min]/[Float.max] for the sweeps' operands, which are never NaN
+   or negative zero: there the plain comparison picks the same value,
+   and it compiles inline instead of boxing both arguments. *)
+let[@inline] lesser (a : float) b = if a < b then a else b
+let[@inline] greater (a : float) b = if a > b then a else b
 
 let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
   let n = Dag.size dag in
-  let start = Array.map (fun (e : Dag.event) -> e.Dag.start) dag.Dag.events in
-  let dur = Array.map (fun (e : Dag.event) -> e.Dag.duration) dag.Dag.events in
-  let orig = Array.copy dur in
-  let p0 =
-    Array.map
-      (fun (e : Dag.event) -> Domain.relative_power e.Dag.domain)
-      dag.Dag.events
-  in
-  (* processing orders from the original (topological) schedule *)
-  let fwd_order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b -> compare (start.(a), a) (start.(b), b))
-    fwd_order;
-  let bwd_order = Array.of_list (List.rev (Array.to_list fwd_order)) in
-  let out_slack id =
-    let e_end = start.(id) +. dur.(id) in
-    let s = dag.Dag.succs.(id) in
-    if Array.length s = 0 then Float.max 0.0 (dag.Dag.t_max -. e_end)
-    else
-      Array.fold_left
-        (fun acc sid -> Float.min acc (start.(sid) -. e_end))
-        Float.infinity s
-      |> Float.max 0.0
-  in
-  let in_slack id =
-    let p = dag.Dag.preds.(id) in
-    if Array.length p = 0 then Float.max 0.0 (start.(id) -. dag.Dag.t_min)
-    else
-      Array.fold_left
-        (fun acc pid -> Float.min acc (start.(id) -. (start.(pid) +. dur.(pid))))
-        Float.infinity p
-      |> Float.max 0.0
-  in
-  let min_succ_start id =
-    let s = dag.Dag.succs.(id) in
-    if Array.length s = 0 then dag.Dag.t_max
-    else Array.fold_left (fun acc sid -> Float.min acc start.(sid)) Float.infinity s
-  in
-  let max_pred_end id =
-    let p = dag.Dag.preds.(id) in
-    if Array.length p = 0 then dag.Dag.t_min
-    else
-      Array.fold_left
-        (fun acc pid -> Float.max acc (start.(pid) +. dur.(pid)))
-        Float.neg_infinity p
-  in
+  let start = Array.copy dag.Dag.start in
+  let dur = Array.copy dag.Dag.duration in
+  let orig = dag.Dag.duration in
+  (* [orig * fmax], the numerator of every step duration *)
+  let work = Array.map (fun o -> o *. fmax) orig in
+  let dom = dag.Dag.domain in
+  let p0 = Array.map (fun d -> Domain.relative_power (Domain.of_index d)) dom in
+  (* each event's current frequency and power factor, refreshed only
+     when it is stretched *)
+  let cur_f = Array.init n (fun id -> freq_of ~orig:orig.(id) ~dur:dur.(id)) in
+  let cur_p = Array.init n (fun id -> power_at ~p0:p0.(id) ~f:cur_f.(id)) in
+  let succ_off = dag.Dag.succ_off and succ = dag.Dag.succ in
+  let pred_off = dag.Dag.pred_off and pred = dag.Dag.pred in
+  let order = dag.Dag.order in
   let stretched = ref false in
   let stretch_threshold =
     let m = Array.fold_left Float.max 0.0 p0 in
     ref (0.95 *. m)
   in
+  (* Lower [id] to the lowest step reachable given [slack] and the power
+     threshold: step down while power still exceeds the threshold and
+     the extra duration fits in the slack. *)
   let stretch id slack =
-    let f_cur = freq_of ~orig:orig.(id) ~dur:dur.(id) in
-    let f' =
-      target_freq ~p0:p0.(id) ~orig:orig.(id) ~dur:dur.(id) ~slack
-        ~threshold:!stretch_threshold
-    in
-    if f' < f_cur -. 1e-9 then begin
-      dur.(id) <- dur_at ~orig:orig.(id) ~f:f';
+    let f_cur = cur_f.(id) in
+    let row = dom.(id) * Freq.num_steps in
+    let best = ref f_cur and best_p = ref cur_p.(id) in
+    let idx = ref (Freq.num_steps - 1) in
+    while !idx >= 0 && step_mhz.(!idx) >= f_cur do
+      decr idx
+    done;
+    while !idx >= 0 && !best_p > !stretch_threshold do
+      let f = step_mhz.(!idx) in
+      if work.(id) /. f -. dur.(id) <= slack +. 1e-9 then begin
+        best := f;
+        best_p := step_power.(row + !idx);
+        decr idx
+      end
+      else idx := -1
+    done;
+    if !best < f_cur -. 1e-9 then begin
+      dur.(id) <- work.(id) /. !best;
+      cur_f.(id) <- freq_of ~orig:orig.(id) ~dur:dur.(id);
+      cur_p.(id) <- power_at ~p0:p0.(id) ~f:cur_f.(id);
       stretched := true
     end
   in
@@ -107,32 +100,57 @@ let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
     incr pass;
     stretched := false;
     (* backward pass: consume outgoing slack, push remaining slack to
-       incoming edges by moving the event later *)
-    Array.iter
-      (fun id ->
-        let slack = out_slack id in
-        if slack > 0.0 && power_at ~p0:p0.(id) ~f:(freq_of ~orig:orig.(id) ~dur:dur.(id)) > !stretch_threshold
-        then stretch id slack;
-        (* move as late as dependences allow *)
-        let latest = min_succ_start id -. dur.(id) in
-        if latest > start.(id) then start.(id) <- latest)
-      bwd_order;
+       incoming edges by moving the event later. One scan of the
+       successors gives both: the earliest successor start bounds the
+       move, and the slack is that bound less the event's end (rounding
+       is monotone, so the minimum of the differences is the difference
+       of the minimum, bit for bit). *)
+    for i = n - 1 downto 0 do
+      let id = order.(i) in
+      let lo = succ_off.(id) and hi = succ_off.(id + 1) in
+      let bound =
+        if lo = hi then dag.Dag.t_max
+        else begin
+          let m = ref Float.infinity in
+          for k = lo to hi - 1 do
+            m := lesser !m start.(succ.(k))
+          done;
+          !m
+        end
+      in
+      let slack = greater 0.0 (bound -. (start.(id) +. dur.(id))) in
+      if slack > 0.0 && cur_p.(id) > !stretch_threshold then stretch id slack;
+      (* move as late as dependences allow *)
+      let latest = bound -. dur.(id) in
+      if latest > start.(id) then start.(id) <- latest
+    done;
     (* forward pass: consume incoming slack, push remaining slack to
-       outgoing edges by moving the event earlier *)
-    Array.iter
-      (fun id ->
-        let slack = in_slack id in
-        if slack > 0.0 && power_at ~p0:p0.(id) ~f:(freq_of ~orig:orig.(id) ~dur:dur.(id)) > !stretch_threshold
-        then begin
-          let before = dur.(id) in
-          stretch id slack;
-          (* growing into incoming slack means starting earlier *)
-          let grown = dur.(id) -. before in
-          if grown > 0.0 then start.(id) <- start.(id) -. grown
-        end;
-        let earliest = max_pred_end id in
-        if earliest < start.(id) then start.(id) <- earliest)
-      fwd_order;
+       outgoing edges by moving the event earlier; the latest
+       predecessor end is both the slack's origin and the bound *)
+    for i = 0 to n - 1 do
+      let id = order.(i) in
+      let lo = pred_off.(id) and hi = pred_off.(id + 1) in
+      let bound =
+        if lo = hi then dag.Dag.t_min
+        else begin
+          let m = ref Float.neg_infinity in
+          for k = lo to hi - 1 do
+            let pid = pred.(k) in
+            m := greater !m (start.(pid) +. dur.(pid))
+          done;
+          !m
+        end
+      in
+      let slack = greater 0.0 (start.(id) -. bound) in
+      if slack > 0.0 && cur_p.(id) > !stretch_threshold then begin
+        let before = dur.(id) in
+        stretch id slack;
+        (* growing into incoming slack means starting earlier *)
+        let grown = dur.(id) -. before in
+        if grown > 0.0 then start.(id) <- start.(id) -. grown
+      end;
+      if bound < start.(id) then start.(id) <- bound
+    done;
     passes_done := !pass;
     stretch_threshold := !stretch_threshold *. threshold_decay;
     if !stretched then quiet_pairs := 0 else incr quiet_pairs
@@ -141,23 +159,12 @@ let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
     Array.init Domain.count (fun _ -> Histogram.create ~bins:Freq.num_steps)
   in
   let stretched_events = ref 0 in
-  Array.iteri
-    (fun id (e : Dag.event) ->
-      let f = freq_of ~orig:orig.(id) ~dur:dur.(id) in
-      (* snap down to the step actually sustainable for this event *)
-      let step =
-        let rec go idx =
-          if idx <= 0 then 0
-          else if float_of_int (Freq.of_index idx) <= f +. 1e-6 then idx
-          else go (idx - 1)
-        in
-        go (Freq.num_steps - 1)
-      in
-      if step < Freq.num_steps - 1 then incr stretched_events;
-      let cycles = orig.(id) /. 1000.0 in
-      Histogram.add histograms.(Domain.index e.Dag.domain) ~bin:step
-        ~weight:cycles)
-    dag.Dag.events;
+  for id = 0 to n - 1 do
+    let step = snap_down cur_f.(id) in
+    if step < Freq.num_steps - 1 then incr stretched_events;
+    let cycles = orig.(id) /. 1000.0 in
+    Histogram.add histograms.(dom.(id)) ~bin:step ~weight:cycles
+  done;
   {
     histograms;
     passes = !passes_done;
@@ -167,13 +174,5 @@ let run ?(max_passes = 24) ?(threshold_decay = 0.85) (dag : Dag.t) =
 
 let frequencies_of_durations ~orig ~stretched =
   Array.mapi
-    (fun i o ->
-      let f = fmax *. o /. stretched.(i) in
-      let rec go idx =
-        if idx <= 0 then Freq.of_index 0
-        else if float_of_int (Freq.of_index idx) <= f +. 1e-6 then
-          Freq.of_index idx
-        else go (idx - 1)
-      in
-      go (Freq.num_steps - 1))
+    (fun i o -> Freq.of_index (snap_down (freq_of ~orig:o ~dur:stretched.(i))))
     orig

@@ -11,6 +11,7 @@ let () =
       ("profiling", Test_profiling.suite);
       ("trace", Test_trace.suite);
       ("core", Test_core.suite);
+      ("kernels", Test_kernels.suite);
       ("robust", Test_robust.suite);
       ("control", Test_control.suite);
       ("workloads", Test_workloads.suite);
